@@ -334,7 +334,7 @@ void SerializeSessionState(const SessionState& state, std::string* out) {
 
 Status DeserializeSessionState(BinReader* reader, SessionState* out,
                                std::uint32_t version) {
-  if (version == 0 || version > kCheckpointVersion) {
+  if (!SupportedCheckpointVersion(version)) {
     return Status::InvalidArgument(StrFormat(
         "checkpoint: unsupported payload version %u",
         static_cast<unsigned>(version)));
@@ -388,9 +388,7 @@ Status DeserializeSessionState(BinReader* reader, SessionState* out,
       }
       last_object = b.object;
     }
-    // v2 envelopes predate compiled-circuit artifacts; their blobs are
-    // format 2 (graded intervals, no artifact appendix).
-    out->evaluator_blob_format = version == 2 ? 2 : kMemoStateFormat;
+    out->evaluator_blob_format = 2;  // Graded-interval blobs.
   } else {
     out->solver_breakers.clear();
     out->evaluator_blob_format = 1;  // Pre-governor point-probability blobs.
@@ -428,11 +426,13 @@ Result<std::string> UnwrapCheckpoint(const std::string& file_bytes,
   std::uint64_t payload_size = 0;
   BAYESCROWD_RETURN_NOT_OK(r.ReadU32(&version));
   BAYESCROWD_RETURN_NOT_OK(r.ReadU64(&payload_size));
-  if (version == 0 || version > kCheckpointVersion) {
+  if (!SupportedCheckpointVersion(version)) {
     return Status::InvalidArgument(StrFormat(
-        "checkpoint version %u is %s than this build supports (%u)",
+        version > kCheckpointVersion
+            ? "checkpoint version %u is newer than this build supports (%u)"
+            : "checkpoint version %u is not supported by this build (reads "
+              "1, 2 and %u)",
         static_cast<unsigned>(version),
-        version > kCheckpointVersion ? "newer" : "older",
         static_cast<unsigned>(kCheckpointVersion)));
   }
   if (version_out != nullptr) *version_out = version;

@@ -16,7 +16,7 @@
 // of several resident sessions — numbered by round count):
 //
 //   "BCKP"  magic, 4 bytes
-//   u32     format version (little-endian); currently 1
+//   u32     format version (little-endian); currently 4
 //   u64     payload size in bytes
 //   payload SerializeSessionState bytes
 //   u32     CRC-32 (IEEE 802.3) of the payload
@@ -46,13 +46,20 @@
 namespace bayescrowd {
 
 /// Checkpoint format version written by this build. Readers accept
-/// this version and every older one (v1 files load with governor-era
-/// fields defaulted); a newer file fails with a clear error instead of
-/// a misparse. Version history:
+/// this version, v1 and v2 (v1 files load with governor-era fields
+/// defaulted); a newer file, or a v3 one, fails with a clear error
+/// instead of a misparse. Version history:
 ///   1  pre-governor sessions (point-probability memo blobs)
-///   2  + solver circuit-breaker records, interval memo blobs
-///   3  memo blobs carry compiled-circuit artifacts (format 3)
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+///   2  + solver circuit-breaker records, interval memo blobs (format 2)
+///   3  retired: memo blobs carried compiled-circuit artifacts, a
+///      layer since removed; refused like an unknown version
+///   4  the v2 layout again, under a number no v3 reader mistakes
+inline constexpr std::uint32_t kCheckpointVersion = 4;
+
+/// True for the envelope versions this build reads.
+inline constexpr bool SupportedCheckpointVersion(std::uint32_t version) {
+  return version >= 1 && version <= kCheckpointVersion && version != 3;
+}
 
 /// Everything Run() snapshots at a round boundary. Field order here is
 /// the serialization order; extend only by bumping kCheckpointVersion.
@@ -124,7 +131,7 @@ Status DeserializeSessionState(BinReader* reader, SessionState* out,
 
 /// Wraps a payload in the checksummed envelope / validates and strips
 /// it. Unwrap fails with IOError on magic/CRC/truncation damage and
-/// InvalidArgument on version 0 or one newer than kCheckpointVersion;
+/// InvalidArgument on a version SupportedCheckpointVersion rejects;
 /// the accepted version is reported through `version` (may be null).
 std::string WrapCheckpoint(const std::string& payload);
 Result<std::string> UnwrapCheckpoint(const std::string& file_bytes,

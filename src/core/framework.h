@@ -175,15 +175,14 @@ struct BayesCrowdOptions {
   obs::MetricsRegistry* metrics = nullptr;
 
   /// Session label for cost attribution: every deterministic cost unit
-  /// ("cost.*" series) is charged to {session, phase, solver_tier,
-  /// compile_state}. One label value per run today; ROADMAP item 1's
-  /// multi-tenant server makes this the per-tenant dimension.
+  /// ("cost.*" series) is charged to {session, phase, solver_tier}. The
+  /// serving layer sets one label value per resident session.
   std::string session = "s0";
 
   /// Flight recorder for structured runtime events (degradations,
-  /// breaker trips, compile refusals, retries, checkpoint writes,
-  /// budget exhaustion). Non-owning; nullptr disables. Purely
-  /// observational — recording never feeds back into the query.
+  /// breaker trips, retries, checkpoint writes, budget exhaustion).
+  /// Non-owning; nullptr disables. Purely observational — recording
+  /// never feeds back into the query.
   obs::FlightRecorder* flight = nullptr;
 
   /// Live export: receives the full metrics snapshot after every round
@@ -330,9 +329,8 @@ struct BayesCrowdResult {
   /// Governor counters for the whole run (all zero when inert).
   GovernorTally solver;
 
-  /// Knowledge-compilation counters for the whole run (all zero when
-  /// compilation is off or the configuration is ineligible).
-  CircuitStats compile;
+  /// Always zero: the benchmark driver (qbench/) still reads these.
+  struct { std::uint64_t builds = 0, reuses = 0, fallbacks = 0; } compile;
 
   /// Circuit-breaker activity: breakers opened, and round-loop solves
   /// skipped by an open breaker.

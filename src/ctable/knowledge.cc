@@ -25,6 +25,16 @@ std::pair<Level, Level> KnowledgeBase::Bounds(const CellRef& var) const {
   return {0, schema_.domain_size(var.attribute) - 1};
 }
 
+std::set<CellRef> KnowledgeBase::FactVariables() const {
+  std::set<CellRef> out;
+  for (const auto& [var, bounds] : intervals_) out.insert(var);
+  for (const auto& [pair, ordering] : orders_) {
+    out.insert(pair.first);
+    out.insert(pair.second);
+  }
+  return out;
+}
+
 bool KnowledgeBase::IsPinned(const CellRef& var, Level* value) const {
   const auto [lo, hi] = Bounds(var);
   if (lo != hi) return false;

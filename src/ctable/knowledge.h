@@ -12,6 +12,7 @@
 #define BAYESCROWD_CTABLE_KNOWLEDGE_H_
 
 #include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -65,6 +66,10 @@ class KnowledgeBase {
   /// renormalizes. Zero-mass results degrade to uniform-over-interval.
   std::vector<double> ConditionDistribution(
       const CellRef& var, const std::vector<double>& raw) const;
+
+  /// Every variable an interval or order fact mentions — exactly the
+  /// variables the round loop has re-conditioned so far.
+  std::set<CellRef> FactVariables() const;
 
   std::size_t num_interval_facts() const { return intervals_.size(); }
   std::size_t num_order_facts() const { return orders_.size(); }

@@ -16,7 +16,6 @@ const char* FlightEventKindToString(FlightEventKind kind) {
   switch (kind) {
     case FlightEventKind::kDegradation: return "degradation";
     case FlightEventKind::kBreakerTrip: return "breaker_trip";
-    case FlightEventKind::kCompileRefusal: return "compile_refusal";
     case FlightEventKind::kRetry: return "retry";
     case FlightEventKind::kRoundAbandoned: return "round_abandoned";
     case FlightEventKind::kCheckpointWrite: return "checkpoint_write";

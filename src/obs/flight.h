@@ -1,9 +1,9 @@
 // FlightRecorder: a fixed-capacity ring buffer of structured runtime
-// events (degradations, breaker trips, compile refusals, retries,
-// checkpoint writes, budget exhaustion) that survives to a JSONL
-// artifact when a run ends — cleanly, by budget exhaustion, or by
-// crash. Unlike metrics (aggregates) and traces (timing), the flight
-// recorder answers "what happened, in order, just before the end".
+// events (degradations, breaker trips, retries, checkpoint writes,
+// budget exhaustion) that survives to a JSONL artifact when a run
+// ends — cleanly, by budget exhaustion, or by crash. Unlike metrics
+// (aggregates) and traces (timing), the flight recorder answers "what
+// happened, in order, just before the end".
 //
 // Recording takes a mutex; every producer site is on the framework's
 // single-threaded round loop and fires at most a handful of times per
@@ -27,24 +27,23 @@ namespace bayescrowd::obs {
 enum class FlightEventKind : std::uint8_t {
   kDegradation = 0,     // Solver budget exhausted below exact tier.
   kBreakerTrip = 1,     // Per-object circuit breaker opened.
-  kCompileRefusal = 2,  // Knowledge compilation refused (budget).
-  kRetry = 3,           // Crowd batch retried after a transient failure.
-  kRoundAbandoned = 4,  // Retries exhausted; round degraded.
-  kCheckpointWrite = 5, // Session snapshot persisted.
-  kBudgetExhausted = 6, // Crowd budget fully spent; loop ends.
-  kResume = 7,          // Session restored from a checkpoint.
-  kNote = 8,            // Free-form marker (tests, tooling).
+  kRetry = 2,           // Crowd batch retried after a transient failure.
+  kRoundAbandoned = 3,  // Retries exhausted; round degraded.
+  kCheckpointWrite = 4, // Session snapshot persisted.
+  kBudgetExhausted = 5, // Crowd budget fully spent; loop ends.
+  kResume = 6,          // Session restored from a checkpoint.
+  kNote = 7,            // Free-form marker (tests, tooling).
   // Serving-layer events (src/serve/): per-tenant lifecycle + QoS.
-  kAdmission = 9,       // Session admitted to (or rejected by) the server.
-  kEviction = 10,       // Resident session evicted (explicit or LRU).
-  kQosDegrade = 11,     // Tenant over its QoS allowance; governor tightened.
+  kAdmission = 8,       // Session admitted to (or rejected by) the server.
+  kEviction = 9,        // Resident session evicted (explicit or LRU).
+  kQosDegrade = 10,     // Tenant over its QoS allowance; governor tightened.
   // Crash-only serving events: fault containment + mass recovery.
-  kQuarantine = 12,     // Poison session isolated after repeated failures.
-  kOverload = 13,       // Request shed at the bounded admission queue.
-  kRecovery = 14,       // Session mass-resumed from the serve manifest.
+  kQuarantine = 11,     // Poison session isolated after repeated failures.
+  kOverload = 12,       // Request shed at the bounded admission queue.
+  kRecovery = 13,       // Session mass-resumed from the serve manifest.
   // Crowd-marketplace defense events (src/crowd/marketplace.h).
-  kKappaCollapse = 15,    // Round agreement fell below the kappa floor.
-  kWorkerQuarantine = 16, // Worker(s) quarantined by joint inference.
+  kKappaCollapse = 14,    // Round agreement fell below the kappa floor.
+  kWorkerQuarantine = 15, // Worker(s) quarantined by joint inference.
 };
 
 const char* FlightEventKindToString(FlightEventKind kind);

@@ -105,8 +105,8 @@ struct HistogramSnapshot {
 };
 
 /// One dimension of a labeled series. Keys come from a small fixed
-/// vocabulary (session / phase / solver_tier / compile_state); values
-/// must be low-cardinality — the registry caps distinct values per key
+/// vocabulary (session / phase / solver_tier, plus tenant / verb in the
+/// serving layer); values must be low-cardinality — the registry caps distinct values per key
 /// and collapses the overflow into "_other" (see kMaxLabelValuesPerKey).
 struct Label {
   std::string key;

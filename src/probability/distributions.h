@@ -53,16 +53,6 @@ class DistributionMap {
 Result<double> ExpressionProbability(const Expression& expression,
                                      const DistributionMap& dists);
 
-/// Span-based primitives behind ProbGreater / ProbLess /
-/// ExpressionProbability. The compiled-circuit evaluator reads its
-/// distributions out of a contiguous SoA copy, so these take raw spans;
-/// DistributionMap delegates to them, keeping both paths one arithmetic
-/// source (and therefore bit-identical).
-double TailMassGreater(const double* dist, std::size_t size, Level bound);
-double HeadMassLess(const double* dist, std::size_t size, Level bound);
-double CrossMass(const double* lhs, std::size_t lhs_size, const double* rhs,
-                 std::size_t rhs_size, CmpOp op);
-
 }  // namespace bayescrowd
 
 #endif  // BAYESCROWD_PROBABILITY_DISTRIBUTIONS_H_

@@ -1,6 +1,7 @@
 #include "probability/evaluator.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -60,12 +61,6 @@ void ProbabilityEvaluator::BindMetrics(obs::MetricsRegistry* registry) {
       registry->GetCounter("solver.ladder_tier.sampled");
   ins_.solver_tier_unknown =
       registry->GetCounter("solver.ladder_tier.unknown");
-  ins_.compile_builds = registry->GetCounter("compile.builds");
-  ins_.compile_fallbacks = registry->GetCounter("compile.fallbacks");
-  ins_.compile_reuses = registry->GetCounter("compile.reuses");
-  ins_.compile_nodes = registry->GetCounter("compile.nodes");
-  ins_.compile_restored = registry->GetCounter("compile.restored");
-  ins_.compile_evictions = registry->GetCounter("compile.evictions");
   ins_.batch_size = registry->GetHistogram(
       "evaluator.batch.size", {1.0, 4.0, 16.0, 64.0, 256.0, 1024.0});
   ins_.batch_misses = registry->GetHistogram(
@@ -74,23 +69,18 @@ void ProbabilityEvaluator::BindMetrics(obs::MetricsRegistry* registry) {
 }
 
 void ProbabilityEvaluator::ResolveCostInstruments() {
-  const auto labeled = [this](const char* name, std::size_t tier,
-                              const char* compile_state) {
+  const auto labeled = [this](const char* name, std::size_t tier) {
     return metrics_->GetCounter(
         name, {{"session", cost_session_},
                {"phase", cost_phase_},
                {"solver_tier",
-                ProbQualityToString(static_cast<ProbQuality>(tier))},
-               {"compile_state", compile_state}});
+                ProbQualityToString(static_cast<ProbQuality>(tier))}});
   };
   for (std::size_t tier = 0; tier < kTierCount; ++tier) {
-    cost_.adpll_nodes[tier] = labeled("cost.adpll_nodes", tier, "search");
-    cost_.cache_hits[tier] = labeled("cost.cache_hits", tier, "memo");
-    cost_.cache_misses[tier] = labeled("cost.cache_misses", tier, "memo");
+    cost_.adpll_nodes[tier] = labeled("cost.adpll_nodes", tier);
+    cost_.cache_hits[tier] = labeled("cost.cache_hits", tier);
+    cost_.cache_misses[tier] = labeled("cost.cache_misses", tier);
   }
-  cost_.replay_ops = labeled(
-      "cost.replay_ops", static_cast<std::size_t>(ProbQuality::kExact),
-      "replay");
 }
 
 void ProbabilityEvaluator::SetCostContext(const std::string& session,
@@ -145,34 +135,6 @@ void ProbabilityEvaluator::AddSolverTally(const GovernorTally& tally) {
   ins_.solver_tier_partial->Increment(tally.tier_partial);
   ins_.solver_tier_sampled->Increment(tally.tier_sampled);
   ins_.solver_tier_unknown->Increment(tally.tier_unknown);
-}
-
-CircuitStats ProbabilityEvaluator::compile_stats() const {
-  CircuitStats out;
-  out.builds = ins_.compile_builds->value();
-  out.fallbacks = ins_.compile_fallbacks->value();
-  out.reuses = ins_.compile_reuses->value();
-  out.nodes = ins_.compile_nodes->value();
-  out.restored = ins_.compile_restored->value();
-  out.evictions = ins_.compile_evictions->value();
-  return out;
-}
-
-void ProbabilityEvaluator::AddCircuitStats(const CircuitStats& stats) {
-  ins_.compile_builds->Increment(stats.builds);
-  ins_.compile_fallbacks->Increment(stats.fallbacks);
-  ins_.compile_reuses->Increment(stats.reuses);
-  ins_.compile_nodes->Increment(stats.nodes);
-  ins_.compile_restored->Increment(stats.restored);
-  ins_.compile_evictions->Increment(stats.evictions);
-}
-
-std::uint64_t ProbabilityEvaluator::CompileTag() const {
-  if (!CompileActive()) return 0;
-  std::uint64_t h = SplitMix64(0xC1DC1ULL);
-  h = SplitMix64(h ^ options_.compile.max_nodes);
-  h = SplitMix64(h ^ kCircuitFormatVersion);
-  return h == 0 ? 1 : h;
 }
 
 std::uint64_t ProbabilityEvaluator::ScopeTag() const {
@@ -230,8 +192,8 @@ bool ProbabilityEvaluator::IsCached(const Condition& condition) const {
   if (condition.IsDecided()) return false;
   const auto it = cache_.find(condition.Fingerprint());
   return it != cache_.end() &&
-         it->second.stamp == (DistStamp(condition) ^ BudgetTag() ^
-                              CompileTag() ^ ScopeTag());
+         it->second.stamp ==
+             (DistStamp(condition) ^ BudgetTag() ^ ScopeTag());
 }
 
 Rng ProbabilityEvaluator::ConditionRng(
@@ -243,9 +205,8 @@ Rng ProbabilityEvaluator::ConditionRng(
 void ProbabilityEvaluator::Insert(const ConditionFingerprint& fingerprint,
                                   const Condition& condition,
                                   const ProbInterval& interval) {
-  cache_[fingerprint] = CacheEntry{
-      interval,
-      DistStamp(condition) ^ BudgetTag() ^ CompileTag() ^ ScopeTag()};
+  cache_[fingerprint] =
+      CacheEntry{interval, DistStamp(condition) ^ BudgetTag() ^ ScopeTag()};
   for (const CellRef& var : condition.Variables()) {
     var_index_[PackVar(var)].push_back(fingerprint);
   }
@@ -295,62 +256,23 @@ void ProbabilityEvaluator::SerializeMemoState(std::string* out) const {
     w.WriteU64(var);
     w.WriteU64(epoch);
   }
-
-  // Format-3 appendix: compiled artifacts and the compile-refusal set,
-  // both fingerprint-sorted for canonical bytes. A resumed session then
-  // re-evaluates circuits immediately instead of re-solving (and
-  // re-compiling) every condition once per resume.
-  std::vector<std::pair<ConditionFingerprint, const CompiledCircuit*>>
-      circuits;
-  circuits.reserve(circuits_.size());
-  for (const auto& [fingerprint, circuit] : circuits_) {
-    circuits.emplace_back(fingerprint, circuit.get());
-  }
-  std::sort(circuits.begin(), circuits.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.WriteU64(circuit_store_tag_);
-  w.WriteU64(circuits.size());
-  for (const auto& [fingerprint, circuit] : circuits) {
-    w.WriteU64(fingerprint.first);
-    w.WriteU64(fingerprint.second);
-    std::string blob;
-    BinWriter cw(&blob);
-    circuit->Serialize(&cw);
-    w.WriteString(blob);
-  }
-
-  std::vector<ConditionFingerprint> failed(circuit_failed_.begin(),
-                                           circuit_failed_.end());
-  std::sort(failed.begin(), failed.end());
-  w.WriteU64(failed.size());
-  for (const ConditionFingerprint& fingerprint : failed) {
-    w.WriteU64(fingerprint.first);
-    w.WriteU64(fingerprint.second);
-  }
 }
 
-Status ProbabilityEvaluator::RestoreMemoState(BinReader* reader,
-                                              std::uint32_t format) {
+Status ProbabilityEvaluator::ParseMemoBlob(BinReader* reader,
+                                           std::uint32_t format,
+                                           MemoBlob* out) {
   if (format == 0 || format > kMemoStateFormat) {
     return Status::InvalidArgument(
         StrFormat("unsupported memo-state format %u",
                   static_cast<unsigned>(format)));
   }
-  std::array<std::uint64_t, 4> rng_state{};
-  for (std::uint64_t& word : rng_state) {
+  for (std::uint64_t& word : out->rng_state) {
     BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&word));
   }
-  rng_.LoadState(rng_state);
-
-  cache_.clear();
-  var_index_.clear();
-  var_epoch_.clear();
-  circuits_.clear();
-  circuit_failed_.clear();
-  circuit_store_tag_ = 0;
 
   std::uint64_t n = 0;
   BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 32));
+  out->entries.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     ConditionFingerprint fingerprint;
     CacheEntry entry;
@@ -373,169 +295,71 @@ Status ProbabilityEvaluator::RestoreMemoState(BinReader* reader,
       entry.interval.quality = static_cast<ProbQuality>(quality);
     }
     BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&entry.stamp));
-    cache_.emplace(fingerprint, entry);
+    out->entries.emplace_back(fingerprint, entry);
   }
 
   BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 16));
+  out->index.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     std::uint64_t var = 0;
     std::uint64_t count = 0;
     BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&var));
     BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&count, 16));
-    std::vector<ConditionFingerprint> fingerprints;
-    fingerprints.reserve(count);
-    for (std::uint64_t k = 0; k < count; ++k) {
-      ConditionFingerprint fingerprint;
+    std::vector<ConditionFingerprint> fingerprints(count);
+    for (ConditionFingerprint& fingerprint : fingerprints) {
       BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.first));
       BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.second));
-      fingerprints.push_back(fingerprint);
     }
-    var_index_.emplace(var, std::move(fingerprints));
+    out->index.emplace_back(var, std::move(fingerprints));
   }
 
   BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 16));
+  out->epochs.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     std::uint64_t var = 0;
     std::uint64_t epoch = 0;
     BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&var));
     BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&epoch));
-    var_epoch_.emplace(var, epoch);
+    out->epochs.emplace_back(var, epoch);
   }
-  if (format < 3) return Status::OK();
+  return Status::OK();
+}
 
-  CircuitStats restored;
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&circuit_store_tag_));
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 24));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ConditionFingerprint fingerprint;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.first));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.second));
-    std::string blob;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadString(&blob));
-    auto circuit = std::make_unique<CompiledCircuit>();
-    BinReader cr(blob);
-    BAYESCROWD_RETURN_NOT_OK(CompiledCircuit::Deserialize(&cr, circuit.get()));
-    circuits_.emplace(fingerprint, std::move(circuit));
-    ++restored.restored;
-  }
-
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 16));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ConditionFingerprint fingerprint;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.first));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.second));
-    circuit_failed_.insert(fingerprint);
-  }
-  AddCircuitStats(restored);
+Status ProbabilityEvaluator::RestoreMemoState(BinReader* reader,
+                                              std::uint32_t format) {
+  MemoBlob blob;
+  BAYESCROWD_RETURN_NOT_OK(ParseMemoBlob(reader, format, &blob));
+  rng_.LoadState(blob.rng_state);
+  cache_.clear();
+  var_index_.clear();
+  var_epoch_.clear();
+  cache_.insert(blob.entries.begin(), blob.entries.end());
+  var_index_.insert(std::make_move_iterator(blob.index.begin()),
+                    std::make_move_iterator(blob.index.end()));
+  var_epoch_.insert(blob.epochs.begin(), blob.epochs.end());
   return Status::OK();
 }
 
 Result<std::size_t> ProbabilityEvaluator::MergeMemoState(
     BinReader* reader, std::uint32_t format) {
-  if (format == 0 || format > kMemoStateFormat) {
-    return Status::InvalidArgument(
-        StrFormat("unsupported memo-state format %u",
-                  static_cast<unsigned>(format)));
-  }
-  // The donor's RNG position belongs to the donor's sampling stream;
-  // read past it, keep our own.
-  std::array<std::uint64_t, 4> rng_state{};
-  for (std::uint64_t& word : rng_state) {
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&word));
-  }
-
+  MemoBlob blob;
+  BAYESCROWD_RETURN_NOT_OK(ParseMemoBlob(reader, format, &blob));
+  // The donor's RNG position belongs to the donor's sampling stream,
+  // and its epochs are not adopted either: stamps validate against the
+  // local epochs, so entries the donor computed under moved epochs
+  // simply never hit.
   std::size_t imported = 0;
-  std::uint64_t n = 0;
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 32));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ConditionFingerprint fingerprint;
-    CacheEntry entry;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.first));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.second));
-    if (format == 1) {
-      double probability = 0.0;
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&probability));
-      entry.interval = ProbInterval::Exact(probability);
-    } else {
-      std::uint8_t quality = 0;
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&entry.interval.lo));
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&entry.interval.hi));
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadU8(&quality));
-      if (quality > static_cast<std::uint8_t>(ProbQuality::kUnknown)) {
-        return Status::InvalidArgument("memo state: bad ProbQuality");
-      }
-      entry.interval.quality = static_cast<ProbQuality>(quality);
-    }
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&entry.stamp));
+  for (const auto& [fingerprint, entry] : blob.entries) {
     if (cache_.emplace(fingerprint, entry).second) ++imported;
   }
-
   // Variable index: append the donor's fingerprints so imported
   // entries still evict when one of their variables re-conditions.
   // Duplicates are tolerated by eviction (and bounded — one merge per
   // session create).
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 16));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint64_t var = 0;
-    std::uint64_t count = 0;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&var));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&count, 16));
+  for (const auto& [var, fingerprints] : blob.index) {
     std::vector<ConditionFingerprint>& slot = var_index_[var];
-    for (std::uint64_t k = 0; k < count; ++k) {
-      ConditionFingerprint fingerprint;
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.first));
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.second));
-      slot.push_back(fingerprint);
-    }
+    slot.insert(slot.end(), fingerprints.begin(), fingerprints.end());
   }
-
-  // Donor epochs are *not* adopted: stamps validate against the local
-  // epochs, so entries the donor computed under moved epochs simply
-  // never hit. Read past the section.
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 16));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint64_t var = 0;
-    std::uint64_t epoch = 0;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&var));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&epoch));
-  }
-  if (format < 3) return imported;
-
-  // Circuits carry the donor's store tag. An empty local store adopts
-  // the donor's tag wholesale; a populated store only accepts a
-  // matching tag. Either way the first governed evaluation re-checks
-  // the tag (SyncCircuitStore) and drops a mismatched store, so an
-  // adopted-but-wrong tag costs the artifacts, never correctness.
-  std::uint64_t donor_tag = 0;
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&donor_tag));
-  const bool adopt = circuits_.empty() && circuit_failed_.empty();
-  const bool accept = adopt || donor_tag == circuit_store_tag_;
-  CircuitStats restored;
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 24));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ConditionFingerprint fingerprint;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.first));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.second));
-    std::string blob;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadString(&blob));
-    if (!accept || circuits_.size() >= kMaxCircuits) continue;
-    auto circuit = std::make_unique<CompiledCircuit>();
-    BinReader cr(blob);
-    BAYESCROWD_RETURN_NOT_OK(
-        CompiledCircuit::Deserialize(&cr, circuit.get()));
-    if (circuits_.emplace(fingerprint, std::move(circuit)).second) {
-      ++restored.restored;
-    }
-  }
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 16));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ConditionFingerprint fingerprint;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.first));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.second));
-    if (accept) circuit_failed_.insert(fingerprint);
-  }
-  if (adopt && accept) circuit_store_tag_ = donor_tag;
-  AddCircuitStats(restored);
   return imported;
 }
 
@@ -624,48 +448,8 @@ Result<ProbInterval> ProbabilityEvaluator::ComputeInterval(
   return Status::Internal("unknown probability method");
 }
 
-std::unique_ptr<const CompiledCircuit> ProbabilityEvaluator::BuildCircuit(
-    const Condition& condition, CircuitStats* stats) {
-  BAYESCROWD_TRACE_SPAN("circuit.compile");
-  Result<CompiledCircuit> compiled = CompileCondition(
-      condition, dists_, options_.adpll, options_.compile);
-  if (!compiled.ok()) {
-    // Budget or structural refusal: the condition stays on the ADPLL
-    // ladder (the refusal is recorded by the caller so it never
-    // retries). Compile errors are never surfaced — the exact answer
-    // was already computed.
-    ++stats->fallbacks;
-    return nullptr;
-  }
-  ++stats->builds;
-  stats->nodes += compiled.value().nodes.size();
-  return std::make_unique<const CompiledCircuit>(
-      std::move(compiled).value());
-}
-
-void ProbabilityEvaluator::StoreCircuit(
-    const ConditionFingerprint& fingerprint,
-    std::unique_ptr<const CompiledCircuit> circuit, CircuitStats* stats) {
-  if (circuits_.size() >= kMaxCircuits) {
-    stats->evictions += circuits_.size();
-    circuits_.clear();
-    circuit_failed_.clear();
-  }
-  circuits_.emplace(fingerprint, std::move(circuit));
-}
-
 void ProbabilityEvaluator::ReserveScratch(std::size_t lanes) {
   if (adpll_scratch_.size() < lanes) adpll_scratch_.resize(lanes);
-  if (circuit_scratch_.size() < lanes) circuit_scratch_.resize(lanes);
-}
-
-void ProbabilityEvaluator::SyncCircuitStore(CircuitStats* stats) {
-  const std::uint64_t tag = BudgetTag() ^ CompileTag() ^ ScopeTag();
-  if (tag == circuit_store_tag_) return;
-  stats->evictions += circuits_.size();
-  circuits_.clear();
-  circuit_failed_.clear();
-  circuit_store_tag_ = tag;
 }
 
 Result<double> ProbabilityEvaluator::Probability(const Condition& condition) {
@@ -702,49 +486,13 @@ Result<ProbInterval> ProbabilityEvaluator::ProbabilityInterval(
   const ConditionFingerprint fingerprint = condition.Fingerprint();
   const auto it = cache_.find(fingerprint);
   if (it != cache_.end() &&
-      it->second.stamp == (DistStamp(condition) ^ BudgetTag() ^
-                           CompileTag() ^ ScopeTag())) {
+      it->second.stamp ==
+          (DistStamp(condition) ^ BudgetTag() ^ ScopeTag())) {
     ins_.cache_hits->Increment();
     cost_.cache_hits[TierIndex(it->second.interval.quality)]->Increment();
     return it->second.interval;
   }
   ins_.cache_misses->Increment();
-
-  // Compiled fast path: a memo miss whose condition already holds an
-  // artifact replays it under the current posteriors instead of
-  // re-running the solver. The replayed value is bit-identical to what
-  // ADPLL would compute (see circuit.h), so it is graded kExact.
-  const bool compiling = CompileActive();
-  CircuitStats circuit_stats;
-  if (compiling) {
-    SyncCircuitStore(&circuit_stats);
-    const auto cit = circuits_.find(fingerprint);
-    if (cit != circuits_.end()) {
-      Result<double> replay = 0.0;
-      {
-        BAYESCROWD_TRACE_SPAN("circuit.eval");
-        replay = cit->second->Evaluate(dists_, &circuit_scratch_[0]);
-      }
-      if (replay.ok()) {
-        ++circuit_stats.reuses;
-        AddCircuitStats(circuit_stats);
-        if (governed) {
-          ++tally.tier_exact;
-          AddSolverTally(tally);
-        }
-        cost_.replay_ops->Increment(cit->second->nodes.size());
-        cost_.cache_misses[TierIndex(ProbQuality::kExact)]->Increment();
-        const ProbInterval interval = ProbInterval::Exact(replay.value());
-        Insert(fingerprint, condition, interval);
-        return interval;
-      }
-      // Stale artifact (a referenced distribution vanished or changed
-      // arity): drop it, pin the refusal, and use the solver.
-      circuits_.erase(cit);
-      circuit_failed_.insert(fingerprint);
-      ++circuit_stats.fallbacks;
-    }
-  }
 
   Rng cond_rng = governed ? ConditionRng(fingerprint) : Rng(0);
   Result<ProbInterval> computed =
@@ -752,28 +500,10 @@ Result<ProbInterval> ProbabilityEvaluator::ProbabilityInterval(
                       &tally, &adpll_scratch_[0]);
   AddAdpllStats(stats);
   AddSolverTally(tally);
-  if (!computed.ok()) {
-    AddCircuitStats(circuit_stats);
-    return computed.status();
-  }
+  if (!computed.ok()) return computed.status();
   const ProbInterval interval = computed.value();
   cost_.adpll_nodes[TierIndex(interval.quality)]->Increment(stats.calls);
   cost_.cache_misses[TierIndex(interval.quality)]->Increment();
-  // Compile after the first exact solve only: a degraded first answer
-  // means the formula is past the governed budget, and its circuit
-  // would disagree with the ladder's graded interval.
-  if (compiling && interval.quality == ProbQuality::kExact &&
-      circuits_.find(fingerprint) == circuits_.end() &&
-      circuit_failed_.find(fingerprint) == circuit_failed_.end()) {
-    std::unique_ptr<const CompiledCircuit> circuit =
-        BuildCircuit(condition, &circuit_stats);
-    if (circuit != nullptr) {
-      StoreCircuit(fingerprint, std::move(circuit), &circuit_stats);
-    } else {
-      circuit_failed_.insert(fingerprint);
-    }
-  }
-  AddCircuitStats(circuit_stats);
   Insert(fingerprint, condition, interval);
   return interval;
 }
@@ -800,7 +530,7 @@ ProbabilityEvaluator::EvaluateBatchIntervals(
   // Sequential pass: constants and memo hits; collect the rest. The
   // cache maps are touched on this thread only.
   const bool memoizable = Memoizable();
-  const std::uint64_t tag = BudgetTag() ^ CompileTag() ^ ScopeTag();
+  const std::uint64_t tag = BudgetTag() ^ ScopeTag();
   std::vector<std::size_t> misses;
   std::vector<ConditionFingerprint> fingerprints(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -827,72 +557,25 @@ ProbabilityEvaluator::EvaluateBatchIntervals(
   }
   ins_.batch_misses->Observe(static_cast<double>(misses.size()));
 
-  // Artifact lookups happen on this thread too (the maps are not
-  // lane-safe): each miss resolves to either a shared circuit pointer
-  // to replay, or a flag to compile after an exact first solve.
-  const bool compiling = CompileActive();
-  const bool governed = options_.governor.enabled();
-  std::vector<const CompiledCircuit*> miss_circuit;
-  std::vector<char> want_compile;
-  if (compiling) {
-    CircuitStats sync_stats;
-    SyncCircuitStore(&sync_stats);
-    AddCircuitStats(sync_stats);
-    miss_circuit.assign(misses.size(), nullptr);
-    want_compile.assign(misses.size(), 0);
-    for (std::size_t m = 0; m < misses.size(); ++m) {
-      const ConditionFingerprint& fingerprint = fingerprints[misses[m]];
-      const auto cit = circuits_.find(fingerprint);
-      if (cit != circuits_.end()) {
-        miss_circuit[m] = cit->second.get();
-      } else if (circuit_failed_.find(fingerprint) ==
-                 circuit_failed_.end()) {
-        want_compile[m] = 1;
-      }
-    }
-  }
-
   // Parallel pass: each miss is an independent model-counting call that
-  // only reads dists_ (and shared, immutable circuits). Results land in
-  // per-index slots, ADPLL and governor counters in per-lane
-  // accumulators, sampling draws come from per-condition generators,
-  // and compiled artifacts go to per-miss slots — so any lane count
-  // computes the same numbers and the same cache state.
+  // only reads dists_. Results land in per-index slots, ADPLL and
+  // governor counters in per-lane accumulators, and sampling draws come
+  // from per-condition generators — so any lane count computes the same
+  // numbers and the same cache state.
   const std::size_t lanes = pool_ == nullptr ? 1 : pool_->size();
   std::vector<AdpllStats> lane_stats(std::max<std::size_t>(lanes, 1));
   std::vector<GovernorTally> lane_tallies(lane_stats.size());
   ReserveScratch(lane_stats.size());
   std::vector<Status> errors(misses.size(), Status::OK());
-  std::vector<char> circuit_served(misses.size(), 0);
-  std::vector<char> circuit_stale(misses.size(), 0);
-  std::vector<char> compile_refused(misses.size(), 0);
-  std::vector<std::unique_ptr<const CompiledCircuit>> built(misses.size());
   // Per-miss ADPLL node counts, charged to the labeled cost series
   // after the barrier: the delta each miss adds to its lane's tally is
   // schedule-independent, so the per-tier totals are too.
   std::vector<std::uint64_t> miss_nodes(misses.size(), 0);
   const auto evaluate_one = [this, &conditions, &fingerprints, &misses,
                              &intervals, &errors, &lane_stats,
-                             &lane_tallies, &miss_circuit, &want_compile,
-                             &circuit_served, &circuit_stale,
-                             &compile_refused, &built, &miss_nodes,
-                             compiling,
-                             governed](std::size_t lane, std::size_t m) {
+                             &lane_tallies,
+                             &miss_nodes](std::size_t lane, std::size_t m) {
     const std::size_t i = misses[m];
-    if (compiling && miss_circuit[m] != nullptr) {
-      Result<double> replay = 0.0;
-      {
-        BAYESCROWD_TRACE_SPAN("circuit.eval");
-        replay = miss_circuit[m]->Evaluate(dists_, &circuit_scratch_[lane]);
-      }
-      if (replay.ok()) {
-        intervals[i] = ProbInterval::Exact(replay.value());
-        circuit_served[m] = 1;
-        if (governed) ++lane_tallies[lane].tier_exact;
-        return;
-      }
-      circuit_stale[m] = 1;
-    }
     Rng rng = ConditionRng(fingerprints[i]);
     const std::uint64_t calls_before = lane_stats[lane].calls;
     Result<ProbInterval> p = ComputeInterval(
@@ -904,12 +587,6 @@ ProbabilityEvaluator::EvaluateBatchIntervals(
       return;
     }
     intervals[i] = p.value();
-    if (compiling && want_compile[m] != 0 &&
-        p.value().quality == ProbQuality::kExact) {
-      CircuitStats ignored;  // Recounted deterministically post-barrier.
-      built[m] = BuildCircuit(*conditions[i], &ignored);
-      if (built[m] == nullptr) compile_refused[m] = 1;
-    }
   };
   Status pool_status = Status::OK();
   if (pool_ != nullptr && misses.size() > 1) {
@@ -932,43 +609,11 @@ ProbabilityEvaluator::EvaluateBatchIntervals(
   }
 
   // Charge the labeled cost units in miss order on this thread: the
-  // resulting tier grades the charge, replays bill their arena size.
+  // resulting tier grades the charge.
   for (std::size_t m = 0; m < misses.size(); ++m) {
     const std::size_t tier = TierIndex(intervals[misses[m]].quality);
-    if (circuit_served[m] != 0) {
-      cost_.replay_ops->Increment(miss_circuit[m]->nodes.size());
-    } else if (miss_nodes[m] > 0) {
-      cost_.adpll_nodes[tier]->Increment(miss_nodes[m]);
-    }
+    if (miss_nodes[m] > 0) cost_.adpll_nodes[tier]->Increment(miss_nodes[m]);
     if (memoizable) cost_.cache_misses[tier]->Increment();
-  }
-
-  // Fold the per-miss circuit outcomes into the shared maps in miss
-  // order, on this thread — identical state for every lane count.
-  if (compiling) {
-    CircuitStats circuit_stats;
-    for (std::size_t m = 0; m < misses.size(); ++m) {
-      const ConditionFingerprint& fingerprint = fingerprints[misses[m]];
-      if (circuit_served[m] != 0) ++circuit_stats.reuses;
-      if (circuit_stale[m] != 0) {
-        circuits_.erase(fingerprint);
-        circuit_failed_.insert(fingerprint);
-        ++circuit_stats.fallbacks;
-      }
-      if (compile_refused[m] != 0) {
-        circuit_failed_.insert(fingerprint);
-        ++circuit_stats.fallbacks;
-      }
-      if (built[m] != nullptr &&
-          circuits_.find(fingerprint) == circuits_.end()) {
-        // A duplicate condition in one batch builds twice; the second
-        // (identical) artifact is dropped so counters stay put.
-        ++circuit_stats.builds;
-        circuit_stats.nodes += built[m]->nodes.size();
-        StoreCircuit(fingerprint, std::move(built[m]), &circuit_stats);
-      }
-    }
-    AddCircuitStats(circuit_stats);
   }
 
   if (memoizable) {

@@ -14,25 +14,17 @@
 //    model-counting calls of one round across an optional ThreadPool,
 //    with per-lane AdpllStats merged after the barrier. Results are
 //    written into per-index slots and sampling draws use per-condition
-//    seeds, so outputs are bit-identical for any thread count;
-//  * a knowledge-compilation layer (circuit.h / compiler.h): the first
-//    exact solve of a condition also compiles its ADPLL trace into a
-//    CompiledCircuit, and later memo misses for the same formula under
-//    shifted posteriors — the round loop's entire hot path — replay the
-//    circuit in one arena pass instead of re-running the search. The
-//    circuit reproduces ADPLL bit for bit, compile failures fall back
-//    to the governed ladder, and artifacts ride checkpoints so a
-//    resumed session keeps its compiled state.
+//    seeds, so outputs are bit-identical for any thread count.
 
 #ifndef BAYESCROWD_PROBABILITY_EVALUATOR_H_
 #define BAYESCROWD_PROBABILITY_EVALUATOR_H_
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
-
 #include <memory>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/binio.h"
 #include "common/random.h"
@@ -42,8 +34,6 @@
 #include "ctable/ctable.h"
 #include "obs/metrics.h"
 #include "probability/adpll.h"
-#include "probability/circuit.h"
-#include "probability/compiler.h"
 #include "probability/distributions.h"
 #include "probability/governor.h"
 #include "probability/interval.h"
@@ -85,16 +75,10 @@ struct ProbabilityOptions {
   /// ladder's sampling tier plays that role with an explicit grade.
   GovernorOptions governor;
 
-  /// Knowledge compilation of memoized ADPLL solves (see compiler.h).
-  /// Only engages for eligible configurations — memoized kAdpll with a
-  /// deterministic branch heuristic, and not under the strict ladder
-  /// (whose budget-exhausted evaluations must stay budget-exhausted).
-  CompileOptions compile;
-
-  /// Tenant-safe cache scope. Folded into every memo stamp and into
-  /// the circuit-store tag (alongside BudgetTag/CompileTag), so two
-  /// sessions over *different* datasets or tenants can exchange memo
-  /// blobs through a shared cache without aliasing: DistStamp digests
+  /// Tenant-safe cache scope. Folded into every memo stamp (alongside
+  /// BudgetTag), so two sessions over *different* datasets or tenants
+  /// can exchange memo blobs through a shared cache without aliasing:
+  /// DistStamp digests
   /// distribution *epochs*, not values, and two fresh sessions start
   /// at identical epochs — without a scope key, dataset A's cached
   /// Pr(φ) could validate against dataset B's equal-fingerprint
@@ -105,12 +89,11 @@ struct ProbabilityOptions {
   std::uint64_t cache_scope = 0;
 };
 
-/// Current on-disk format of SerializeMemoState blobs. Format 1 (point
-/// probabilities, pre-governor) and format 2 (graded intervals, no
-/// compile artifacts) are still readable; pass the version recorded
-/// alongside the blob to RestoreMemoState. Format 3 appends the
-/// compiled-circuit artifacts and the compile-refusal set.
-inline constexpr std::uint32_t kMemoStateFormat = 3;
+/// Current on-disk format of SerializeMemoState blobs: graded interval
+/// entries, the variable index, and the distribution epochs. Format 1
+/// (point probabilities, pre-governor) is still readable; pass the
+/// version recorded alongside the blob to RestoreMemoState.
+inline constexpr std::uint32_t kMemoStateFormat = 2;
 
 /// Cumulative memo-cache counters (never reset by the evaluator; take
 /// before/after snapshots for per-phase rates).
@@ -205,13 +188,6 @@ class ProbabilityEvaluator {
   /// while the governor is inert.
   GovernorTally solver_stats() const;
 
-  /// Compile-layer counters ("compile.*"), read back the same way. All
-  /// zero while compilation is off or ineligible.
-  CircuitStats compile_stats() const;
-
-  /// Number of compiled artifacts currently cached.
-  std::size_t CircuitCount() const { return circuits_.size(); }
-
   /// Points the evaluator's instruments ("evaluator.cache.*",
   /// "adpll.*", "evaluator.batch.*") at `registry`. nullptr (the
   /// constructor default) binds a private registry, so fresh evaluators
@@ -221,9 +197,9 @@ class ProbabilityEvaluator {
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
   /// Cost-attribution context. Every deterministic cost unit the
-  /// evaluator produces (cost.adpll_nodes, cost.replay_ops,
-  /// cost.cache_hits / cost.cache_misses) is charged to a labeled
-  /// series {session, phase, solver_tier, compile_state}; the framework
+  /// evaluator produces (cost.adpll_nodes, cost.cache_hits /
+  /// cost.cache_misses) is charged to a labeled series
+  /// {session, phase, solver_tier}; the framework
   /// switches the phase at each round-loop boundary ("select",
   /// "update", "answer"). Handles re-resolve only when the context
   /// actually changes — a few mutexed map lookups per phase switch, and
@@ -264,19 +240,15 @@ class ProbabilityEvaluator {
                           std::uint32_t format = kMemoStateFormat);
 
   /// Warm-start merge for a shared cross-session cache: imports the
-  /// memo entries, variable index, compiled artifacts and refusal set
-  /// of a SerializeMemoState blob WITHOUT touching this evaluator's
-  /// RNG stream, distribution epochs, or existing entries (existing
-  /// entries win on fingerprint collisions; RestoreMemoState, by
-  /// contrast, clears everything and adopts the blob's epochs). An
-  /// imported entry only ever serves a hit when its stamp validates
-  /// against the *local* epochs and scope/budget/compile tags — the
-  /// standard lookup check — so merging a foreign blob is always
-  /// sound; mismatched entries are dead weight, never wrong answers.
-  /// Circuits merge only when the blob's store tag matches the active
-  /// one (adopted wholesale when the local store is empty; a mismatch
-  /// at the next evaluation drops them, the SyncCircuitStore rule).
-  /// Returns the number of memo entries imported.
+  /// memo entries and variable index of a SerializeMemoState blob
+  /// WITHOUT touching this evaluator's RNG stream, distribution epochs,
+  /// or existing entries (existing entries win on fingerprint
+  /// collisions; RestoreMemoState, by contrast, clears everything and
+  /// adopts the blob's epochs). An imported entry only ever serves a
+  /// hit when its stamp validates against the *local* epochs and
+  /// scope/budget tags — the standard lookup check — so merging a
+  /// foreign blob is always sound; mismatched entries are dead weight,
+  /// never wrong answers. Returns the number of memo entries imported.
   Result<std::size_t> MergeMemoState(BinReader* reader,
                                      std::uint32_t format = kMemoStateFormat);
 
@@ -285,6 +257,21 @@ class ProbabilityEvaluator {
     ProbInterval interval;    // Exact entries have lo == hi.
     std::uint64_t stamp = 0;  // Distribution-epoch stamp at insertion.
   };
+
+  /// One parsed SerializeMemoState blob, section by section.
+  struct MemoBlob {
+    std::array<std::uint64_t, 4> rng_state{};
+    std::vector<std::pair<ConditionFingerprint, CacheEntry>> entries;
+    std::vector<std::pair<PackedVar, std::vector<ConditionFingerprint>>>
+        index;
+    std::vector<std::pair<PackedVar, std::uint64_t>> epochs;
+  };
+
+  /// The one reader behind RestoreMemoState and MergeMemoState: parses
+  /// a blob of `format` (1: point probabilities, 2: graded intervals)
+  /// without touching any evaluator state.
+  static Status ParseMemoBlob(BinReader* reader, std::uint32_t format,
+                              MemoBlob* out);
 
   /// Order-insensitive digest of the distribution epochs of every
   /// variable occurrence in `condition`; changes whenever any mentioned
@@ -297,13 +284,6 @@ class ProbabilityEvaluator {
   /// exact value was asked for). 0 — the v1 stamp — when inert.
   std::uint64_t BudgetTag() const { return options_.governor.Fingerprint(); }
 
-  /// Compile-artifact component of cache stamps, mirroring BudgetTag():
-  /// entries (and on-disk artifacts) produced under one compile
-  /// configuration or circuit format never alias another. 0 — the
-  /// legacy stamp — whenever compilation is inactive, which keeps
-  /// pre-compile cache blobs valid.
-  std::uint64_t CompileTag() const;
-
   /// Tenant-scope component of cache stamps (see
   /// ProbabilityOptions::cache_scope). 0 — the legacy stamp — for the
   /// default scope.
@@ -313,18 +293,6 @@ class ProbabilityEvaluator {
     return options_.memoize &&
            (options_.method == ProbabilityMethod::kAdpll ||
             options_.method == ProbabilityMethod::kNaive);
-  }
-
-  /// True when this configuration compiles circuits: memoized kAdpll
-  /// with a value-independent branch heuristic, and not under the
-  /// strict ladder (strict mode's contract is "exact within budget or
-  /// [0,1]" — serving compiled exact answers would change which).
-  bool CompileActive() const {
-    return options_.compile.mode != CompileMode::kOff && Memoizable() &&
-           options_.method == ProbabilityMethod::kAdpll &&
-           options_.adpll.heuristic != BranchHeuristic::kRandom &&
-           !(options_.governor.enabled() &&
-             options_.governor.ladder == LadderMode::kStrict);
   }
 
   /// One uncached evaluation. `rng` supplies sampling draws (batch mode
@@ -342,29 +310,8 @@ class ProbabilityEvaluator {
                                        GovernorTally* tally,
                                        AdpllScratch* scratch);
 
-  /// Compiles `condition` after its first exact evaluation. Returns the
-  /// artifact, or nullptr when the compile refused (budget/structure) —
-  /// the caller then records the refusal so the condition never
-  /// retries. Counts into `stats`.
-  std::unique_ptr<const CompiledCircuit> BuildCircuit(
-      const Condition& condition, CircuitStats* stats);
-
-  /// Stores one compiled artifact under the (deterministic, miss-order)
-  /// cache-cap policy. Counts into `stats`.
-  void StoreCircuit(const ConditionFingerprint& fingerprint,
-                    std::unique_ptr<const CompiledCircuit> circuit,
-                    CircuitStats* stats);
-
-  /// Ensures the per-lane solver scratch vectors cover `lanes` lanes.
+  /// Ensures the per-lane solver scratch covers `lanes` lanes.
   void ReserveScratch(std::size_t lanes);
-
-  /// Drops the artifact store when the active budget/compile tag no
-  /// longer matches the one it was populated under. Counts into
-  /// `stats`.
-  void SyncCircuitStore(CircuitStats* stats);
-
-  /// Folds one compile-layer tally into the counters.
-  void AddCircuitStats(const CircuitStats& stats);
 
   /// Deterministic per-condition sampling stream.
   Rng ConditionRng(const ConditionFingerprint& fingerprint) const;
@@ -388,32 +335,9 @@ class ProbabilityEvaluator {
                      ConditionFingerprintHash>
       cache_;
 
-  /// Compiled artifacts by condition fingerprint. Value-independent:
-  /// entries survive distribution updates (only an arity change stales
-  /// one, detected at evaluation). unique_ptr keeps the arenas stable
-  /// while lanes share them during a batch.
-  std::unordered_map<ConditionFingerprint,
-                     std::unique_ptr<const CompiledCircuit>,
-                     ConditionFingerprintHash>
-      circuits_;
-  /// Conditions whose compile refused (budget/structure) or whose
-  /// circuit failed to evaluate — never retried.
-  std::unordered_set<ConditionFingerprint, ConditionFingerprintHash>
-      circuit_failed_;
-  /// BudgetTag ^ CompileTag the artifact store was populated under. A
-  /// governed lookup must never replay a circuit from another budget
-  /// configuration (a fresh run under that budget may degrade where
-  /// the circuit is exact), so a tag change drops the store — the same
-  /// rule the memo stamps enforce, applied store-wide.
-  std::uint64_t circuit_store_tag_ = 0;
-  /// Artifact-cache cap: reaching it clears the whole map (a
-  /// deterministic policy — LRU would depend on evaluation order).
-  static constexpr std::size_t kMaxCircuits = 8192;
-
   /// Per-lane solver scratch (element 0 serves the sequential paths);
   /// grown to the pool width before a parallel batch pass.
   std::vector<AdpllScratch> adpll_scratch_;
-  std::vector<CircuitScratch> circuit_scratch_;
   /// Fingerprints of cached conditions per mentioned variable (may hold
   /// stale fingerprints; eviction tolerates them).
   std::unordered_map<PackedVar, std::vector<ConditionFingerprint>>
@@ -440,12 +364,6 @@ class ProbabilityEvaluator {
     obs::Counter* solver_tier_partial = nullptr;
     obs::Counter* solver_tier_sampled = nullptr;
     obs::Counter* solver_tier_unknown = nullptr;
-    obs::Counter* compile_builds = nullptr;
-    obs::Counter* compile_fallbacks = nullptr;
-    obs::Counter* compile_reuses = nullptr;
-    obs::Counter* compile_nodes = nullptr;
-    obs::Counter* compile_restored = nullptr;
-    obs::Counter* compile_evictions = nullptr;
     obs::Histogram* batch_size = nullptr;
     obs::Histogram* batch_misses = nullptr;
   } ins_;
@@ -465,7 +383,6 @@ class ProbabilityEvaluator {
     obs::Counter* adpll_nodes[kTierCount] = {};
     obs::Counter* cache_hits[kTierCount] = {};
     obs::Counter* cache_misses[kTierCount] = {};
-    obs::Counter* replay_ops = nullptr;  // Circuit replay: always exact.
   } cost_;
 };
 

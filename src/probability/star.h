@@ -9,13 +9,9 @@
 // per-expression probabilities that are either constants or lookups in
 // tables indexed by one hub value.
 //
-// ADPLL historically built and evaluated this in one shot, allocating
-// the hub maps and tables on every call. The split serves two masters:
-//  * AdpllScratch reuses the buffers across solves (hot-path fix);
-//  * the compiled-circuit evaluator stores the plan in its artifact and
-//    refills constants/tables from the *current* posteriors each round.
-// Both run the same EvalStarPlan, so a circuit-evaluated star is
-// bit-identical to the ADPLL fast path by construction.
+// The split lets AdpllScratch reuse the plan and table buffers across
+// solves instead of allocating them on every call; EvalStarPlan fills
+// constants/tables from the current posteriors.
 
 #ifndef BAYESCROWD_PROBABILITY_STAR_H_
 #define BAYESCROWD_PROBABILITY_STAR_H_

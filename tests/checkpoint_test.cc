@@ -1,6 +1,7 @@
 // Checkpoint format and store tests: envelope integrity, payload
-// round-trips, generation management, corruption fallback, and the
-// committed v1 golden fixture (forward-compat contract).
+// round-trips, generation management, corruption fallback, the
+// committed v1/v2 golden fixtures (forward-compat contract), and the
+// v4/v3 boundary (v3 is a retired version every reader refuses).
 
 #include "core/checkpoint.h"
 
@@ -13,11 +14,18 @@
 #include <string>
 #include <vector>
 
+#include "bayesnet/imputation.h"
 #include "common/binio.h"
 #include "common/fileio.h"
+#include "common/random.h"
+#include "core/framework.h"
 #include "core/session.h"
+#include "crowd/platform.h"
 #include "crowd/record_replay.h"
+#include "data/generators.h"
+#include "data/missing.h"
 #include "obs/metrics.h"
+#include "probability/evaluator.h"
 
 namespace bayescrowd {
 namespace {
@@ -558,12 +566,12 @@ TEST(GoldenV1FixtureTest, CommittedFixtureLoadsOnHead) {
   ASSERT_EQ(restored.round_logs.size(), 1u);
   EXPECT_EQ(restored.round_logs[0].cache_hits, 17u);
 
-  // And a v1 state re-serialized today round-trips as v2.
+  // And a v1 state re-serialized today round-trips at today's version.
   const std::string reserialized = SerializeState(restored);
   BinReader again(reserialized);
-  SessionState v2;
-  ASSERT_TRUE(DeserializeSessionState(&again, &v2).ok());
-  EXPECT_EQ(SerializeState(v2), reserialized);
+  SessionState current;
+  ASSERT_TRUE(DeserializeSessionState(&again, &current).ok());
+  EXPECT_EQ(SerializeState(current), reserialized);
 }
 
 TEST(GoldenV2FixtureTest, CommittedFixtureMatchesHeadBytes) {
@@ -597,8 +605,7 @@ TEST(GoldenV2FixtureTest, CommittedFixtureMatchesHeadBytes) {
             ProbQuality::kPartialBound);
   EXPECT_EQ(restored.solver_breakers[1].object, 5u);
   EXPECT_FALSE(restored.solver_breakers[1].open);
-  // v2 envelopes predate compiled-circuit artifacts: their evaluator
-  // blobs must load as format 2, never as the current format.
+  // v2 evaluator blobs are graded-interval (format 2) blobs.
   EXPECT_EQ(restored.evaluator_blob_format, 2u);
 }
 
@@ -614,6 +621,126 @@ TEST(CheckpointEnvelopeTest, AcceptsOlderVersionRejectsZero) {
   const auto zero = UnwrapCheckpoint(wrapped);
   ASSERT_FALSE(zero.ok());
   EXPECT_TRUE(zero.status().IsInvalidArgument()) << zero.status().ToString();
+}
+
+// ------------------------------------------------------------------- //
+// The v4/v3 boundary. v4 is the v2 layout under a new number; v3
+// envelopes (memo blobs with compiled-circuit artifacts) are refused.
+// ------------------------------------------------------------------- //
+
+/// Stamps `version` into an envelope in place (the CRC covers only the
+/// payload, so the result is an intact envelope of that version).
+void StampVersion(std::string* envelope, std::uint32_t version) {
+  (*envelope)[4] = static_cast<char>(version);
+}
+
+TEST(CheckpointVersionTest, V4RoundTripResumesBitIdentically) {
+  const Table truth = MakeNbaLike(120, 5);
+  Rng rng(17);
+  const Table incomplete = InjectMissingUniform(truth, 0.15, rng);
+  UniformPosteriorProvider posteriors(incomplete.schema());
+  SimulatedPlatformOptions sim_options;
+  sim_options.worker_accuracy = 0.95;
+  sim_options.seed = 5;
+  BayesCrowdOptions options;
+  options.ctable.alpha = 0.01;
+  options.budget = 12;
+  options.latency = 4;
+  options.strategy.m = 5;
+  options.threads = 2;
+
+  SimulatedCrowdPlatform reference_sim(truth, sim_options);
+  const auto reference =
+      BayesCrowd(options).Run(incomplete, posteriors, reference_sim);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  CheckpointStore::Options store_options;
+  store_options.dir = FreshDir("bc_ckpt_v4_resume");
+  store_options.keep = 100;
+  CheckpointStore store(store_options);
+  BayesCrowdOptions checkpointed = options;
+  checkpointed.checkpoint_sink = &store;
+  checkpointed.checkpoint_every = 1;
+  SimulatedCrowdPlatform checkpointed_sim(truth, sim_options);
+  ASSERT_TRUE(BayesCrowd(checkpointed)
+                  .Run(incomplete, posteriors, checkpointed_sim)
+                  .ok());
+  const std::vector<std::string> generations = store.ListGenerations();
+  ASSERT_GE(generations.size(), 2u);
+
+  // Resume from the oldest (mid-run) generation, read back from disk.
+  const std::string bytes =
+      ReadFileBytes(store_options.dir + "/" + generations.front());
+  std::uint32_t version = 0;
+  const auto payload = UnwrapCheckpoint(bytes, &version);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  EXPECT_EQ(version, 4u);
+  EXPECT_EQ(version, kCheckpointVersion);
+  SessionState state;
+  BinReader reader(payload.value());
+  ASSERT_TRUE(DeserializeSessionState(&reader, &state, version).ok());
+  EXPECT_EQ(state.evaluator_blob_format, 2u);
+  EXPECT_EQ(state.evaluator_blob_format, kMemoStateFormat);
+  ASSERT_LT(state.rounds, reference->rounds);
+
+  BayesCrowdOptions resumed_options = options;
+  resumed_options.resume = &state;
+  SimulatedCrowdPlatform resumed_sim(truth, sim_options);
+  const auto resumed =
+      BayesCrowd(resumed_options).Run(incomplete, posteriors, resumed_sim);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed->result_objects, reference->result_objects);
+  ASSERT_EQ(resumed->probabilities.size(), reference->probabilities.size());
+  for (std::size_t i = 0; i < reference->probabilities.size(); ++i) {
+    EXPECT_EQ(resumed->probabilities[i], reference->probabilities[i])
+        << "object " << i;
+  }
+  EXPECT_EQ(resumed->rounds, reference->rounds);
+  EXPECT_EQ(resumed->tasks_posted, reference->tasks_posted);
+  EXPECT_EQ(resumed->cost_spent, reference->cost_spent);
+  EXPECT_EQ(resumed->cache_hits, reference->cache_hits);
+  EXPECT_EQ(resumed->cache_misses, reference->cache_misses);
+}
+
+TEST(CheckpointVersionTest, V3EnvelopeIsRefusedWithOneLineVersionError) {
+  std::string envelope = WrapCheckpoint(SerializeState(MakeGoldenState()));
+  StampVersion(&envelope, 3);
+  const auto unwrapped = UnwrapCheckpoint(envelope);
+  ASSERT_FALSE(unwrapped.ok());
+  EXPECT_TRUE(unwrapped.status().IsInvalidArgument())
+      << unwrapped.status().ToString();
+  const std::string message = unwrapped.status().message();
+  EXPECT_NE(message.find("version 3"), std::string::npos) << message;
+  EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+
+  // The payload-level reader refuses the version as well.
+  const std::string payload = SerializeState(MakeGoldenState());
+  BinReader reader(payload);
+  SessionState state;
+  EXPECT_TRUE(
+      DeserializeSessionState(&reader, &state, 3).IsInvalidArgument());
+}
+
+TEST(CheckpointVersionTest, NewestV3GenerationFallsBackToOlderValidOne) {
+  CheckpointStore::Options options;
+  options.dir = FreshDir("bc_ckpt_v3_fallback");
+  CheckpointStore store(options);
+  SessionState state = MakeGoldenState();
+  state.answer_log_offset = 0;
+  for (std::size_t round = 1; round <= 2; ++round) {
+    state.rounds = round;
+    ASSERT_TRUE(store.Write(state).ok());
+  }
+  const std::string newest = options.dir + "/ckpt-00000002.bin";
+  std::string bytes = ReadFileBytes(newest);
+  StampVersion(&bytes, 3);
+  WriteFileBytes(newest, bytes);
+
+  std::size_t fallbacks = 0;
+  const auto loaded = store.LoadLatest(100, &fallbacks);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->rounds, 1u);
+  EXPECT_EQ(fallbacks, 1u);
 }
 
 // ------------------------------------------------------------------- //

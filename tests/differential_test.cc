@@ -184,20 +184,19 @@ TEST(DifferentialTest, AdpllBitIdenticalAcrossThreadsAndCache) {
 }
 
 // ------------------------------------------------------------------ //
-// Compiled sweep: circuit replay vs. the engines it must mirror
+// Round-loop sweep: the memoized evaluator across posterior shifts
 // ------------------------------------------------------------------ //
 
 // Evaluates every selected condition of a case across several
-// posterior-shift rounds — the compiled layer's hot path — and returns
-// the concatenated per-round probabilities.
+// posterior-shift rounds — the crowd loop's access pattern, where each
+// round re-conditions variables and evicts the entries mentioning
+// them — and returns the concatenated per-round probabilities.
 std::vector<double> EvaluateCaseRounds(const DifferentialCase& c,
                                        std::uint64_t seed,
-                                       std::size_t threads,
-                                       CompileMode mode,
-                                       CircuitStats* stats) {
+                                       std::size_t threads, bool memoize) {
   ProbabilityOptions options;
   options.method = ProbabilityMethod::kAdpll;
-  options.compile.mode = mode;
+  options.memoize = memoize;
   ProbabilityEvaluator evaluator(options);
   for (const CellRef& var : c.ctable.AllVariables()) {
     auto dist = c.dists.Get(var);
@@ -225,84 +224,60 @@ std::vector<double> EvaluateCaseRounds(const DifferentialCase& c,
           evaluator.SetDistribution(var, std::move(weights)));
     }
   }
-  if (stats != nullptr) *stats = evaluator.compile_stats();
   return all;
 }
 
-// The compiled evaluator must be indistinguishable from the plain
-// ADPLL evaluator — same bits at every thread count, on the same
-// seeded population that pins the engines against each other.
-TEST(DifferentialTest, CompiledReplayBitIdenticalToAdpllAcrossRounds) {
-  std::uint64_t total_reuses = 0;
+// The memoized, pooled evaluator must be indistinguishable from plain
+// per-call ADPLL across rounds — same bits at every thread count.
+TEST(DifferentialTest, MemoizedRoundLoopBitIdenticalToPlainAdpll) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const DifferentialCase c = MakeCase(seed);
     if (c.objects.empty()) continue;
-    const std::vector<double> base =
-        EvaluateCaseRounds(c, seed, 1, CompileMode::kOff, nullptr);
+    const std::vector<double> base = EvaluateCaseRounds(c, seed, 1, false);
     for (const std::size_t threads : {1u, 8u}) {
-      CircuitStats stats;
-      const std::vector<double> compiled =
-          EvaluateCaseRounds(c, seed, threads, CompileMode::kAuto, &stats);
-      ASSERT_EQ(base.size(), compiled.size());
+      const std::vector<double> memoized =
+          EvaluateCaseRounds(c, seed, threads, true);
+      ASSERT_EQ(base.size(), memoized.size());
       for (std::size_t i = 0; i < base.size(); ++i) {
-        EXPECT_EQ(base[i], compiled[i])
+        EXPECT_EQ(base[i], memoized[i])
             << "seed " << seed << " threads " << threads << " slot " << i;
       }
-      EXPECT_GT(stats.builds, 0u) << "seed " << seed;
-      total_reuses += stats.reuses;
     }
   }
-  // The shifted rounds must actually run through circuit replay, or
-  // the sweep proves nothing about the compiled path.
-  EXPECT_GT(total_reuses, 0u);
 }
 
-// On instances engineered to blow the compile budget, the evaluator
-// must degrade through the governed fallback — exact ADPLL when the
-// governor is inert, a sound graded interval when a budget bites —
-// and never through a wrong compiled answer.
-TEST(DifferentialTest, CompiledPathFallsBackSoundlyOnAdversarialInstances) {
-  Rng sweep(0x5EEDC0DE);
-  for (std::size_t round = 0; round < 6; ++round) {
-    const AdversarialInstance inst = MakeRandomAdversarialInstance(sweep);
-
-    // Inert governor: the compile refusal must leave the exact answer
-    // untouched.
-    {
-      ProbabilityOptions options;
-      options.compile.mode = CompileMode::kAuto;
-      options.compile.max_nodes = 256;  // Refuses every instance family.
-      ProbabilityEvaluator evaluator(options);
-      evaluator.distributions() = inst.dists;
-      const auto p = evaluator.Probability(inst.condition);
-      ASSERT_TRUE(p.ok()) << "round " << round;
-      EXPECT_NEAR(p.value(), inst.exact_probability, 1e-9)
-          << "round " << round;
-      EXPECT_EQ(evaluator.compile_stats().builds, 0u) << "round " << round;
-      EXPECT_GE(evaluator.compile_stats().fallbacks, 1u)
-          << "round " << round;
-    }
-
-    // Biting node budget: compilation must not change the grade — the
-    // interval stays sound and the budget still registers as exhausted.
-    {
-      ProbabilityOptions options;
-      options.compile.mode = CompileMode::kAuto;
-      options.compile.max_nodes = 256;
-      options.governor.max_nodes = 32;
-      options.governor.ladder = LadderMode::kFull;
-      ProbabilityEvaluator evaluator(options);
-      evaluator.distributions() = inst.dists;
-      const auto r = evaluator.ProbabilityInterval(inst.condition);
-      ASSERT_TRUE(r.ok()) << "round " << round;
-      EXPECT_FALSE(r->exact()) << "round " << round;
-      EXPECT_LE(r->lo, inst.exact_probability + 1e-9) << "round " << round;
-      EXPECT_GE(r->hi, inst.exact_probability - 1e-9) << "round " << round;
-      EXPECT_GE(evaluator.solver_stats().budget_exhausted, 1u)
-          << "round " << round;
-      EXPECT_EQ(evaluator.CircuitCount(), 0u) << "round " << round;
+// The per-lane AdpllScratch the evaluator hands the solver must not
+// change a bit: reused buffers equal per-call buffers, on the seeded
+// population and on a star instance that exercises the plan/table
+// buffers (the partial solver accepts the same scratch).
+TEST(DifferentialTest, ReusedAdpllScratchIsBitIdenticalToPerCallBuffers) {
+  AdpllScratch scratch;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const DifferentialCase c = MakeCase(seed);
+    for (const std::size_t object : c.objects) {
+      const Condition& condition = c.ctable.condition(object);
+      const auto bare = AdpllProbability(condition, c.dists);
+      const auto reused =
+          AdpllProbability(condition, c.dists, {}, nullptr, &scratch);
+      ASSERT_TRUE(bare.ok());
+      ASSERT_TRUE(reused.ok());
+      EXPECT_EQ(bare.value(), reused.value())
+          << "seed " << seed << " object " << object;
     }
   }
+
+  const AdversarialInstance star = MakeDeepChainInstance(3, 4);
+  const auto bare = AdpllProbability(star.condition, star.dists);
+  const auto reused =
+      AdpllProbability(star.condition, star.dists, {}, nullptr, &scratch);
+  ASSERT_TRUE(bare.ok());
+  ASSERT_TRUE(reused.ok());
+  EXPECT_EQ(bare.value(), reused.value());
+  const auto partial = AdpllPartialProbability(star.condition, star.dists,
+                                               {}, nullptr, nullptr, &scratch);
+  ASSERT_TRUE(partial.ok());
+  EXPECT_EQ(partial->lo, bare.value());
+  EXPECT_TRUE(partial->exact());
 }
 
 // ------------------------------------------------------------------ //

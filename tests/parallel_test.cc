@@ -437,54 +437,5 @@ TEST(GovernedBatchTest, BatchIntervalsBitIdenticalAcrossPoolSizes) {
   }
 }
 
-// The compiled batch path — artifact resolution before the fan-out,
-// per-lane replay, post-barrier fold — must be invisible: identical
-// bits to the plain batch at every pool size, with replays actually
-// happening on the post-shift pass (duplicates included).
-TEST(GovernedBatchTest, CompiledBatchBitIdenticalAtEveryPoolSize) {
-  const AdversarialInstance chain = MakeDeepChainInstance(3, 4);
-  const AdversarialInstance wide = MakeWideChainConjunctInstance(2, 4);
-
-  auto run = [&](std::size_t threads, CompileMode mode,
-                 CircuitStats* stats) {
-    ThreadPool pool(threads);
-    ProbabilityOptions options;
-    options.compile.mode = mode;
-    ProbabilityEvaluator evaluator(options);
-    evaluator.distributions() = chain.dists;  // Covers both instances.
-    evaluator.set_thread_pool(&pool);
-    const std::vector<const Condition*> batch{
-        &chain.condition, &wide.condition, &chain.condition};
-    std::vector<double> all;
-    auto first = evaluator.EvaluateBatch(batch);
-    BAYESCROWD_CHECK_OK(first.status());
-    all.insert(all.end(), first->begin(), first->end());
-    // Shift one shared posterior: both conditions miss, and a compiled
-    // evaluator serves the misses by circuit replay.
-    BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
-        V(1, 0), std::vector<double>{0.1, 0.2, 0.3, 0.4}));
-    auto second = evaluator.EvaluateBatch(batch);
-    BAYESCROWD_CHECK_OK(second.status());
-    all.insert(all.end(), second->begin(), second->end());
-    if (stats != nullptr) *stats = evaluator.compile_stats();
-    return all;
-  };
-
-  const std::vector<double> base = run(1, CompileMode::kOff, nullptr);
-  for (const std::size_t threads : {1u, 8u}) {
-    CircuitStats stats;
-    const std::vector<double> compiled =
-        run(threads, CompileMode::kAuto, &stats);
-    ASSERT_EQ(base.size(), compiled.size());
-    for (std::size_t i = 0; i < base.size(); ++i) {
-      EXPECT_EQ(base[i], compiled[i]) << "threads " << threads << " " << i;
-    }
-    // Two distinct conditions compiled once each (the duplicate does
-    // not double-build), then replayed after the shift.
-    EXPECT_EQ(stats.builds, 2u) << "threads " << threads;
-    EXPECT_GE(stats.reuses, 2u) << "threads " << threads;
-  }
-}
-
 }  // namespace
 }  // namespace bayescrowd

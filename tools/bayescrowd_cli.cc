@@ -13,6 +13,7 @@
 // --interactive *you* are the crowd, answering on stdin.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -22,6 +23,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bayesnet/imputation.h"
 #include "bayesnet/network.h"
@@ -65,6 +67,87 @@ namespace {
 /// knob — it seeds the simulated workers, not the data.
 constexpr int kDefaultDataSeed = 42;
 
+// Every flag a subcommand accepts, with the type its value must parse
+// as. ParseFlags rejects anything else before a command runs, so a
+// typo'd flag or a malformed number can never fall back to a default.
+enum class FlagKind : std::uint8_t { kString, kInt, kDouble, kBool };
+
+struct FlagSpec {
+  const char* name;
+  FlagKind kind;
+};
+
+const std::vector<FlagSpec>* CommandFlags(const std::string& command) {
+  using K = FlagKind;
+  static const std::map<std::string, std::vector<FlagSpec>> kTable = {
+      {"generate",
+       {{"dataset", K::kString}, {"n", K::kInt}, {"out", K::kString},
+        {"seed", K::kInt}, {"d", K::kInt}, {"levels", K::kInt}}},
+      {"inject",
+       {{"in", K::kString}, {"out", K::kString}, {"rate", K::kDouble},
+        {"attrs", K::kString}, {"seed", K::kInt}}},
+      {"skyline", {{"in", K::kString}}},
+      {"ctable", {{"data", K::kString}, {"alpha", K::kDouble}}},
+      {"run",
+       {{"data", K::kString},
+        {"truth", K::kString},
+        {"interactive", K::kBool},
+        {"strategy", K::kString},
+        {"budget", K::kInt},
+        {"latency", K::kInt},
+        {"alpha", K::kDouble},
+        {"m", K::kInt},
+        {"accuracy", K::kDouble},
+        {"seed", K::kInt},
+        {"threads", K::kInt},
+        {"no-cache", K::kBool},
+        {"structure", K::kString},
+        {"save-model", K::kString},
+        {"load-model", K::kString},
+        {"record", K::kString},
+        {"replay-from", K::kString},
+        {"tasks-per-round", K::kInt},
+        {"marketplace", K::kInt},
+        {"spam-rate", K::kDouble},
+        {"adaptive-votes", K::kInt},
+        {"no-defense", K::kBool},
+        {"fault-rate", K::kDouble},
+        {"fault-seed", K::kInt},
+        {"answer-noise", K::kDouble},
+        {"max-retries", K::kInt},
+        {"round-deadline", K::kDouble},
+        {"checkpoint-dir", K::kString},
+        {"checkpoint-every", K::kInt},
+        {"keep-checkpoints", K::kInt},
+        {"resume", K::kBool},
+        {"solver-node-budget", K::kInt},
+        {"solver-component-budget", K::kInt},
+        {"solver-deadline-ms", K::kInt},
+        {"solver-ladder", K::kString},
+        {"breaker-threshold", K::kInt},
+        {"pessimistic", K::kBool},
+        {"verbose", K::kBool},
+        {"metrics-out", K::kString},
+        {"trace-out", K::kString},
+        {"telemetry-out", K::kString},
+        {"session", K::kString},
+        {"flight-out", K::kString},
+        {"metrics-prom", K::kString},
+        {"metrics-stream", K::kString}}},
+      {"inspect",
+       {{"run", K::kString}, {"flight", K::kString}, {"diff", K::kString},
+        {"threshold", K::kDouble}}},
+      {"jsoncheck", {{"in", K::kString}}},
+      {"normalize",
+       {{"in", K::kString}, {"out", K::kString}, {"strip-lanes", K::kBool},
+        {"strip-resume", K::kBool}}},
+  };
+  const auto it = kTable.find(command);
+  return it == kTable.end() ? nullptr : &it->second;
+}
+
+/// Parsed flags. Values were type-checked by ParseFlags, so the getters
+/// only fall back when a flag is absent.
 struct Flags {
   std::map<std::string, std::string> values;
 
@@ -88,6 +171,74 @@ struct Flags {
   }
   bool Has(const std::string& key) const { return values.count(key) > 0; }
 };
+
+/// Parses argv[first..] against `specs` (plus the global --log-level).
+/// On any unknown flag, missing value, or value that does not parse
+/// completely as its declared type, prints one diagnostic line and
+/// returns false.
+bool ParseFlags(const std::string& command,
+                const std::vector<FlagSpec>& specs, int first, int argc,
+                char** argv, Flags* flags) {
+  for (int i = first; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (!StartsWith(arg, "--")) {
+      std::fprintf(stderr, "%s: unexpected argument '%s'\n", command.c_str(),
+                   arg.c_str());
+      return false;
+    }
+    arg = arg.substr(2);
+    std::string value;
+    const std::size_t eq = arg.find('=');
+    const bool inline_value = eq != std::string::npos;
+    if (inline_value) {
+      value = arg.substr(eq + 1);
+      arg = arg.substr(0, eq);
+    }
+    FlagKind kind = FlagKind::kString;
+    if (arg != "log-level") {
+      const auto spec =
+          std::find_if(specs.begin(), specs.end(),
+                       [&arg](const FlagSpec& f) { return arg == f.name; });
+      if (spec == specs.end()) {
+        std::fprintf(stderr, "%s: unknown flag '--%s'\n", command.c_str(),
+                     arg.c_str());
+        return false;
+      }
+      kind = spec->kind;
+    }
+    if (kind == FlagKind::kBool) {
+      if (inline_value) {
+        std::fprintf(stderr, "%s: --%s takes no value\n", command.c_str(),
+                     arg.c_str());
+        return false;
+      }
+      flags->values[arg] = "";
+      continue;
+    }
+    if (!inline_value) {
+      if (i + 1 >= argc || StartsWith(argv[i + 1], "--")) {
+        std::fprintf(stderr, "%s: --%s needs a value\n", command.c_str(),
+                     arg.c_str());
+        return false;
+      }
+      value = argv[++i];
+    }
+    int int_value = 0;
+    double double_value = 0.0;
+    if (kind == FlagKind::kInt && !ParseInt(value, &int_value)) {
+      std::fprintf(stderr, "%s: --%s expects an integer, got '%s'\n",
+                   command.c_str(), arg.c_str(), value.c_str());
+      return false;
+    }
+    if (kind == FlagKind::kDouble && !ParseDouble(value, &double_value)) {
+      std::fprintf(stderr, "%s: --%s expects a number, got '%s'\n",
+                   command.c_str(), arg.c_str(), value.c_str());
+      return false;
+    }
+    flags->values[arg] = value;
+  }
+  return true;
+}
 
 int Usage() {
   std::fprintf(
@@ -116,7 +267,6 @@ int Usage() {
       "           [--solver-deadline-ms N]\n"
       "           [--solver-ladder full|interval|sample|strict]\n"
       "           [--breaker-threshold N] [--pessimistic]\n"
-      "           [--compile off|auto|on] [--compile-node-budget N]\n"
       "           [--verbose]\n"
       "           [--metrics-out F] [--trace-out F] [--telemetry-out F]\n"
       "           [--session S] [--flight-out F]\n"
@@ -157,12 +307,6 @@ int Usage() {
       "  this many consecutive degraded solves (0 disables);\n"
       "  --pessimistic ranks on the most-uncertain point of each\n"
       "  interval instead of its midpoint\n"
-      "  --compile: knowledge-compile each condition's first exact ADPLL\n"
-      "  solve into a reusable arithmetic circuit; later rounds replay\n"
-      "  it bit-identically instead of re-solving (auto: when eligible,\n"
-      "  the default; on: also reject ineligible flag combinations).\n"
-      "  --compile-node-budget caps circuit size; oversized conditions\n"
-      "  fall back to the governed solver ladder\n"
       "  normalize: strip machine-dependent fields (wall-clock times,\n"
       "  deadline hits; optionally lane usage and resume markers) from a\n"
       "  telemetry/metrics JSON so two runs diff byte-for-byte\n"
@@ -465,43 +609,6 @@ int CmdRun(const Flags& flags) {
     options.breaker_threshold = static_cast<std::size_t>(threshold);
   }
   if (flags.Has("pessimistic")) options.strategy.pessimistic = true;
-
-  // Knowledge compilation. `auto` (the default) silently skips
-  // ineligible configurations; `on` is a promise that compilation will
-  // engage, so combinations that cannot compile are rejected here.
-  CompileOptions& compile = options.probability.compile;
-  if (flags.Has("compile")) {
-    if (!ParseCompileMode(flags.Get("compile", ""), &compile.mode)) {
-      std::fprintf(stderr,
-                   "unknown --compile '%s' (expected off, auto, or on)\n",
-                   flags.Get("compile", "").c_str());
-      return 2;
-    }
-  }
-  if (flags.Has("compile-node-budget")) {
-    const int nodes = flags.GetInt("compile-node-budget", 0);
-    if (nodes <= 0) {
-      std::fprintf(stderr,
-                   "--compile-node-budget must be >= 1 (use --compile off "
-                   "to disable compilation)\n");
-      return 2;
-    }
-    compile.max_nodes = static_cast<std::uint64_t>(nodes);
-  }
-  if (compile.mode == CompileMode::kOn) {
-    if (governor.enabled() && governor.ladder == LadderMode::kStrict) {
-      std::fprintf(stderr,
-                   "--compile on cannot be combined with --solver-ladder "
-                   "strict (strict runs must stay budget-exact)\n");
-      return 2;
-    }
-    if (!options.probability.memoize) {
-      std::fprintf(stderr,
-                   "--compile on cannot be combined with --no-cache "
-                   "(artifacts are keyed by the memo cache)\n");
-      return 2;
-    }
-  }
 
   const std::string strategy = flags.Get("strategy", "hhs");
   if (strategy == "fbs") {
@@ -989,23 +1096,10 @@ int CmdInspect(const Flags& flags) {
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
+  const std::vector<FlagSpec>* specs = CommandFlags(command);
+  if (specs == nullptr) return Usage();
   Flags flags;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (!StartsWith(arg, "--")) {
-      std::fprintf(stderr, "unexpected argument '%s'\n", arg.c_str());
-      return Usage();
-    }
-    arg = arg.substr(2);
-    const std::size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      flags.values[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else if (i + 1 < argc && !StartsWith(argv[i + 1], "--")) {
-      flags.values[arg] = argv[++i];
-    } else {
-      flags.values[arg] = "";  // Boolean flag.
-    }
-  }
+  if (!ParseFlags(command, *specs, 2, argc, argv, &flags)) return 2;
   if (flags.Has("log-level")) {
     LogLevel level = LogLevel::kWarning;
     if (!ParseLogLevel(flags.Get("log-level", ""), &level)) {

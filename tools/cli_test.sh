@@ -5,10 +5,10 @@
 # default to --seed 42 (historically generate used 42 but inject used
 # 7), and the seed flag actually steers the output. Also checks the
 # fault-flag validation the run command grew with the retry layer, the
-# solver-governor flag validation, the knowledge-compilation flag
-# validation (--compile / --compile-node-budget), and the marketplace
-# flag validation (--marketplace / --spam-rate / --adaptive-votes /
-# --no-defense).
+# solver-governor flag validation, strict flag parsing (unknown flags
+# and malformed numbers exit 2 with one line before any work), and the
+# marketplace flag validation (--marketplace / --spam-rate /
+# --adaptive-votes / --no-defense).
 #
 # Also pins the bayescrowd_serve JSONL protocol against committed golden
 # fixtures (tests/testdata/serve_golden_*.jsonl) and its bad-input
@@ -119,6 +119,8 @@ fi
 if run_base --no-cache --resume --checkpoint-dir "${WORK}/ck" >/dev/null 2>&1; then
   fail "run must reject --no-cache combined with --resume"
 fi
+run_base --solver-node-budget 4 --solver-ladder strict --budget 4 --latency 2 \
+  >/dev/null || fail "a strict-ladder run must run to completion"
 # Each rejection must be a one-line diagnostic (plus nothing else).
 # (The expected nonzero exit would trip set -e/pipefail unguarded.)
 lines="$( (run_base --solver-ladder bogus 2>&1 >/dev/null || true) | wc -l)"
@@ -126,35 +128,36 @@ lines="$( (run_base --solver-ladder bogus 2>&1 >/dev/null || true) | wc -l)"
   || fail "--solver-ladder rejection must print exactly one line, got ${lines}"
 
 # ------------------------------------------------------------------ #
-# run: knowledge-compilation flags validate.
+# Strict flags: every subcommand accepts only the flags of its usage
+# line, and numeric values must parse completely. A rejection is one
+# line on stderr and exit 2, before any work (no output file appears).
 # ------------------------------------------------------------------ #
-if run_base --compile sometimes >/dev/null 2>&1; then
-  fail "run must reject an unknown --compile mode"
-fi
-if run_base --compile-node-budget 0 >/dev/null 2>&1; then
-  fail "run must reject --compile-node-budget 0"
-fi
-if run_base --compile-node-budget -64 >/dev/null 2>&1; then
-  fail "run must reject a negative --compile-node-budget"
-fi
-if run_base --compile on --solver-node-budget 4 --solver-ladder strict \
-    >/dev/null 2>&1; then
-  fail "run must reject --compile on combined with --solver-ladder strict"
-fi
-if run_base --compile on --no-cache >/dev/null 2>&1; then
-  fail "run must reject --compile on combined with --no-cache"
-fi
-# `auto` tolerates the same configurations `on` rejects: it just skips
-# compilation, so these must run to completion.
-run_base --compile auto --solver-node-budget 4 --solver-ladder strict \
-  --budget 4 --latency 2 >/dev/null \
-  || fail "--compile auto must tolerate a strict-ladder run"
-lines="$( (run_base --compile sometimes 2>&1 >/dev/null || true) | wc -l)"
-[ "${lines}" -eq 1 ] \
-  || fail "--compile rejection must print exactly one line, got ${lines}"
-lines="$( (run_base --compile on --no-cache 2>&1 >/dev/null || true) | wc -l)"
-[ "${lines}" -eq 1 ] \
-  || fail "--compile on/--no-cache rejection must print one line, got ${lines}"
+expect_rejected() {
+  local what="$1"; shift
+  local rc=0
+  "$@" >/dev/null 2>"${WORK}/strict.err" || rc=$?
+  [ "${rc}" -eq 2 ] || fail "${what} must exit 2, got ${rc}"
+  [ "$(wc -l < "${WORK}/strict.err")" -eq 1 ] \
+    || fail "${what} must print exactly one line: $(cat "${WORK}/strict.err")"
+}
+expect_rejected "the retired --compile flag" \
+  run_base --compile off --telemetry-out "${WORK}/strict.json"
+expect_rejected "a typo'd --budgett" \
+  run_base --budgett 5 --telemetry-out "${WORK}/strict.json"
+grep -q "unknown flag '--budgett'" "${WORK}/strict.err" \
+  || fail "an unknown flag must be named in the diagnostic"
+expect_rejected "a non-numeric --threads" \
+  run_base --threads abc --telemetry-out "${WORK}/strict.json"
+expect_rejected "a partly numeric --budget" \
+  run_base --budget 12x --telemetry-out "${WORK}/strict.json"
+expect_rejected "a run flag on generate" \
+  "${CLI}" generate --dataset indep --n 40 --budget 5 \
+  --out "${WORK}/strict.csv"
+expect_rejected "a non-numeric --rate on inject" \
+  "${CLI}" inject --in "${WORK}/gen_42.csv" --rate 0.2x \
+  --out "${WORK}/strict.csv"
+[ ! -e "${WORK}/strict.json" ] && [ ! -e "${WORK}/strict.csv" ] \
+  || fail "a rejected command must not have started work"
 
 # ------------------------------------------------------------------ #
 # run: marketplace flags validate.
