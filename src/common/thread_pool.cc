@@ -115,12 +115,15 @@ Status ThreadPool::ParallelFor(
     const std::function<void(std::size_t lane, std::size_t index)>& fn) {
   if (count == 0) return Status::OK();
   const std::size_t lanes = std::min(size(), count);
-  // One shared cursor; every lane pulls the next unclaimed index. The
-  // body outlives every Submit because Wait() below is a barrier. Each
-  // lane accounts its item count and body wall-clock once per call. A
-  // throwing body poisons the loop: the exception becomes the returned
-  // Status and the remaining unclaimed indices are skipped.
-  std::atomic<std::size_t> next{0};
+  // Lane 0 (the caller) owns index 0, then every lane pulls the next
+  // unclaimed index from one shared cursor. Owning index 0 keeps lane 0
+  // working even when the workers claim every other index before the
+  // caller reaches the cursor. The body outlives every Submit because
+  // Wait() below is a barrier. Each lane accounts its item count and
+  // body wall-clock once per call. A throwing body poisons the loop: the
+  // exception becomes the returned Status and the remaining unclaimed
+  // indices are skipped.
+  std::atomic<std::size_t> next{1};
   std::atomic<bool> poisoned{false};
   // The error slot is local to this call, not the pool: a co-resident
   // caller's failure (a different serve session sharing the pool) must
@@ -138,9 +141,8 @@ Status ThreadPool::ParallelFor(
                      &fn](std::size_t lane) {
     const auto start = std::chrono::steady_clock::now();
     std::uint64_t executed = 0;
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < count && !poisoned.load(std::memory_order_relaxed);
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
+    const auto run = [lane, &poisoned, &record_call_error, &fn,
+                      &executed](std::size_t i) {
       try {
         fn(lane, i);
       } catch (...) {
@@ -148,6 +150,12 @@ Status ThreadPool::ParallelFor(
         poisoned.store(true, std::memory_order_relaxed);
       }
       ++executed;
+    };
+    if (lane == 0) run(0);
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < count && !poisoned.load(std::memory_order_relaxed);
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      run(i);
     }
     const auto busy = std::chrono::steady_clock::now() - start;
     lane_accum_[lane].tasks.fetch_add(executed, std::memory_order_relaxed);

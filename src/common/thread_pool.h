@@ -6,6 +6,9 @@
 //  * The calling thread participates as lane 0, so a pool of size 1
 //    never spawns a thread and ParallelFor degenerates to a plain loop —
 //    the single-threaded path stays bit-identical to the pre-pool code.
+//    ParallelFor hands index 0 to lane 0 before the shared cursor
+//    (which starts at 1), so lane 0 runs at least one item of every
+//    non-empty call, whatever the workers claim first.
 //  * Work items receive (lane, index). Writing results into
 //    per-index slots (and accumulating statistics per lane, merged after
 //    the barrier) keeps outputs deterministic for any pool size: the
@@ -63,12 +66,12 @@ class ThreadPool {
   /// Runs fn(lane, index) for every index in [0, count), spreading
   /// indices over the lanes via a shared atomic counter, and returns
   /// after all indices completed. lane is in [0, size()); the caller
-  /// executes as one of the lanes. If any invocation throws, the first
-  /// exception *of this call* is converted to an Internal Status
-  /// (remaining unclaimed indices are skipped); OK otherwise. Errors
-  /// never cross calls: concurrent or later ParallelFor callers on the
-  /// same pool are unaffected, and exceptions recorded by raw Submit()
-  /// tasks are never returned here.
+  /// executes as lane 0, which always runs index 0 itself. If any
+  /// invocation throws, the first exception *of this call* is converted
+  /// to an Internal Status (remaining unclaimed indices are skipped); OK
+  /// otherwise. Errors never cross calls: concurrent or later
+  /// ParallelFor callers on the same pool are unaffected, and exceptions
+  /// recorded by raw Submit() tasks are never returned here.
   Status ParallelFor(std::size_t count,
                      const std::function<void(std::size_t lane,
                                               std::size_t index)>& fn);

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "obs/normalize.h"
 
 namespace bayescrowd {
 namespace {
@@ -86,18 +87,11 @@ void AppendGroupTable(const std::string& title,
 // ----------------------------------------------------------------- //
 
 bool SkipKey(const std::string& key) {
-  // Wall-clock fields and the one wall-clock-dependent solver count are
-  // machine-dependent; simulated clocks (deterministic) stay in. Lane
-  // usage is scheduling-dependent even on identical seeds, so it is
-  // skipped the same way `normalize --strip-lanes` drops it.
-  const bool is_seconds =
-      key.size() >= 7 && key.compare(key.size() - 7, 7, "seconds") == 0;
-  if (is_seconds && key.find("sim") == std::string::npos) return true;
-  if (key == "lanes" || key == "threads" ||
-      key.rfind("pool.lane", 0) == 0) {
-    return true;
-  }
-  return key == "deadline_hits" || key == "wall_ms";
+  // Exactly what `normalize --strip-lanes` zeroes or drops: wall-clock
+  // noise, per-lane usage, and the pool size, so runs diff clean across
+  // thread counts. Simulated clocks (deterministic) stay in.
+  return obs::IsWallClockKey(key) || obs::IsLaneUsageKey(key) ||
+         key == "threads";
 }
 
 void CollectNumericLeaves(const obs::JsonValue& value,

@@ -6,18 +6,6 @@
 namespace bayescrowd::obs {
 namespace {
 
-bool IsWallClockKey(const std::string& key) {
-  // Deadline-hit counts are wall-clock noise too: whether the solver's
-  // optional deadline fired depends on machine speed, never on the
-  // query (the node-budget counters stay untouched).
-  if (key == "deadline_hits" || key == "solver.deadline_hits") return true;
-  const std::string suffix = "seconds";
-  return key.size() >= suffix.size() &&
-         key.compare(key.size() - suffix.size(), suffix.size(), suffix) ==
-             0 &&
-         key.find("sim") == std::string::npos;
-}
-
 bool StartsWith(const std::string& key, const char* prefix) {
   return key.rfind(prefix, 0) == 0;
 }
@@ -28,9 +16,8 @@ JsonValue Normalize(const JsonValue& v, const std::string& key,
     case JsonValue::Kind::kObject: {
       JsonValue out = JsonValue::Object();
       for (const auto& [k, member] : v.members()) {
-        if (options.strip_lane_usage &&
-            (k == "lanes" || k == "threads" ||
-             StartsWith(k, "pool.lane"))) {
+        if (IsLaneUsageKey(k) ||
+            (options.strip_lane_usage && k == "threads")) {
           continue;
         }
         // "recovery." only matches dotted metric names; the payload's
@@ -62,6 +49,25 @@ JsonValue Normalize(const JsonValue& v, const std::string& key,
 }
 
 }  // namespace
+
+bool IsWallClockKey(const std::string& key) {
+  // Deadline-hit counts are wall-clock noise too: whether the solver's
+  // optional deadline fired depends on machine speed, never on the
+  // query (the node-budget counters stay untouched).
+  if (key == "deadline_hits" || key == "solver.deadline_hits" ||
+      key == "wall_ms") {
+    return true;
+  }
+  const std::string suffix = "seconds";
+  return key.size() >= suffix.size() &&
+         key.compare(key.size() - suffix.size(), suffix.size(), suffix) ==
+             0 &&
+         key.find("sim") == std::string::npos;
+}
+
+bool IsLaneUsageKey(const std::string& key) {
+  return key == "lanes" || StartsWith(key, "pool.lane");
+}
 
 JsonValue NormalizeTelemetry(const JsonValue& v,
                              const NormalizeOptions& options) {

@@ -25,6 +25,7 @@
 #include "data/missing.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/normalize.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 
@@ -455,6 +456,69 @@ TEST(TraceTest, PipelineRunLeavesNoOpenSpans) {
   EXPECT_EQ(tracer.OpenSpanCount(), 0u);
   tracer.Disable();
   tracer.Clear();
+}
+
+// ------------------------------------------------------------------ //
+// Normalization
+// ------------------------------------------------------------------ //
+
+// A run document in miniature: one of each noise class next to the
+// deterministic fields that must survive untouched.
+JsonValue NoisyRunDocument() {
+  JsonValue options = JsonValue::Object();
+  options["threads"] = 4;
+  options["budget"] = 12;
+  JsonValue lane = JsonValue::Object();
+  lane["tasks"] = 134;
+  lane["busy_seconds"] = 0.5;
+  JsonValue lanes = JsonValue::Array();
+  lanes.Append(std::move(lane));
+  JsonValue gauges = JsonValue::Object();
+  gauges["pool.lane0.tasks"] = 134;
+  gauges["pool.lane0.busy_seconds"] = 0.5;
+  gauges["evaluator.batch_size"] = 8;
+  JsonValue result = JsonValue::Object();
+  result["select_seconds"] = 0.25;
+  result["platform_sim_seconds"] = 3.0;
+  result["rounds"] = 3;
+  JsonValue payload = JsonValue::Object();
+  payload["options"] = std::move(options);
+  payload["lanes"] = std::move(lanes);
+  payload["gauges"] = std::move(gauges);
+  payload["result"] = std::move(result);
+  return payload;
+}
+
+TEST(NormalizeTest, DefaultDropsLaneUsageButKeepsThreads) {
+  const JsonValue out = obs::NormalizeTelemetry(NoisyRunDocument());
+  EXPECT_EQ(out.Find("lanes"), nullptr);
+  const JsonValue* gauges = out.Find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  EXPECT_EQ(gauges->Find("pool.lane0.tasks"), nullptr);
+  EXPECT_EQ(gauges->Find("pool.lane0.busy_seconds"), nullptr);
+  ASSERT_NE(gauges->Find("evaluator.batch_size"), nullptr);
+  EXPECT_EQ(gauges->Find("evaluator.batch_size")->AsInt(), 8);
+  ASSERT_NE(out.Find("options")->Find("threads"), nullptr);
+  EXPECT_EQ(out.Find("options")->Find("threads")->AsInt(), 4);
+}
+
+TEST(NormalizeTest, StripLaneUsageAlsoDropsThreads) {
+  obs::NormalizeOptions options;
+  options.strip_lane_usage = true;
+  const JsonValue out = obs::NormalizeTelemetry(NoisyRunDocument(), options);
+  EXPECT_EQ(out.Find("lanes"), nullptr);
+  EXPECT_EQ(out.Find("gauges")->Find("pool.lane0.tasks"), nullptr);
+  EXPECT_EQ(out.Find("options")->Find("threads"), nullptr);
+  EXPECT_EQ(out.Find("options")->Find("budget")->AsInt(), 12);
+}
+
+TEST(NormalizeTest, ZeroesWallClockAndKeepsSimulatedClocks) {
+  const JsonValue out = obs::NormalizeTelemetry(NoisyRunDocument());
+  const JsonValue* result = out.Find("result");
+  ASSERT_NE(result, nullptr);
+  EXPECT_EQ(result->Find("select_seconds")->AsDouble(), 0.0);
+  EXPECT_EQ(result->Find("platform_sim_seconds")->AsDouble(), 3.0);
+  EXPECT_EQ(result->Find("rounds")->AsInt(), 3);
 }
 
 // ------------------------------------------------------------------ //

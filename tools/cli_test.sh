@@ -200,6 +200,17 @@ run_governed "${WORK}/gov_b.json"
 "${CLI}" normalize --in "${WORK}/gov_b.json" --out "${WORK}/gov_b_norm.json"
 cmp -s "${WORK}/gov_a_norm.json" "${WORK}/gov_b_norm.json" \
   || fail "governed runs with the same budgets diverged after normalization"
+# The same pin at an explicit 4 lanes, so the multi-lane path (and its
+# scheduling-dependent lane usage) is exercised on a 1-core host too.
+for side in a b; do
+  run_base --alpha -1 --budget 12 --latency 3 \
+    --solver-node-budget 4 --solver-ladder full --breaker-threshold 2 \
+    --threads 4 --telemetry-out "${WORK}/gov4_${side}.json" >/dev/null
+  "${CLI}" normalize --in "${WORK}/gov4_${side}.json" \
+    --out "${WORK}/gov4_${side}_norm.json"
+done
+cmp -s "${WORK}/gov4_a_norm.json" "${WORK}/gov4_b_norm.json" \
+  || fail "governed runs at --threads 4 diverged after normalization"
 python3 - "${WORK}/gov_a_norm.json" <<'EOF' || fail "telemetry solver block malformed"
 import json, sys
 solver = json.load(open(sys.argv[1]))["payload"]["solver"]
