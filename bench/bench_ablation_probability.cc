@@ -4,9 +4,9 @@
 //  * ADPLL variants: star fast path on/off, component decomposition
 //    on/off, branching-variable heuristic (most-frequent / first /
 //    random);
-//  * the generalized-ApproxCount sampling estimators (plain Monte Carlo
-//    and Rao-Blackwellised) at several sample counts, with their mean
-//    absolute error vs the exact answer as a counter.
+//  * the generalized-ApproxCount Monte-Carlo estimator at several
+//    sample counts, with its mean absolute error vs the exact answer as
+//    a counter.
 //
 // Expected shape: star + decomposition + most-frequent is the fastest
 // exact configuration (the paper's ADPLL conclusion); sampling trades
@@ -98,7 +98,7 @@ void BM_Ablation_Adpll_RandomVariable(benchmark::State& state) {
   RunAdpllVariant(state, false, true, BranchHeuristic::kRandom);
 }
 
-void RunSampling(benchmark::State& state, bool rao_blackwell) {
+void BM_Ablation_MonteCarlo(benchmark::State& state) {
   const AblationCase& c = Prepare();
   SamplingOptions options;
   options.num_samples = static_cast<std::size_t>(state.range(0));
@@ -108,10 +108,7 @@ void RunSampling(benchmark::State& state, bool rao_blackwell) {
     abs_err = 0.0;
     for (std::size_t k = 0; k < c.conditions.size(); ++k) {
       const Condition& cond = c.ctable.condition(c.conditions[k]);
-      auto p = rao_blackwell
-                   ? SampledProbabilityRaoBlackwell(cond, c.dists, options,
-                                                    rng)
-                   : SampledProbability(cond, c.dists, options, rng);
+      auto p = SampledProbability(cond, c.dists, options, rng);
       BAYESCROWD_CHECK_OK(p.status());
       abs_err += std::abs(p.value() - c.exact[k]);
     }
@@ -119,13 +116,6 @@ void RunSampling(benchmark::State& state, bool rao_blackwell) {
   state.counters["samples"] = static_cast<double>(options.num_samples);
   state.counters["mean_abs_error"] =
       abs_err / static_cast<double>(c.conditions.size());
-}
-
-void BM_Ablation_MonteCarlo(benchmark::State& state) {
-  RunSampling(state, /*rao_blackwell=*/false);
-}
-void BM_Ablation_RaoBlackwell(benchmark::State& state) {
-  RunSampling(state, /*rao_blackwell=*/true);
 }
 
 void VariantArgs(benchmark::internal::Benchmark* bench) {
@@ -142,7 +132,6 @@ BENCHMARK(BM_Ablation_Adpll_NoStarNoComponents)->Apply(VariantArgs);
 BENCHMARK(BM_Ablation_Adpll_FirstVariable)->Apply(VariantArgs);
 BENCHMARK(BM_Ablation_Adpll_RandomVariable)->Apply(VariantArgs);
 BENCHMARK(BM_Ablation_MonteCarlo)->Apply(SampleArgs);
-BENCHMARK(BM_Ablation_RaoBlackwell)->Apply(SampleArgs);
 
 }  // namespace
 }  // namespace bayescrowd::bench

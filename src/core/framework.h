@@ -121,10 +121,6 @@ struct BayesCrowdOptions {
   /// Pr(φ(o)) > answer_threshold (paper: 0.5).
   double answer_threshold = 0.5;
 
-  /// When exact ADPLL exhausts its recursion budget on a pathological
-  /// condition, fall back to sampling instead of failing the query.
-  bool sampling_fallback = true;
-
   /// Per-object solver circuit breaker (active only with a governed
   /// evaluator, `probability.governor`): after this many consecutive
   /// degraded (non-exact) Pr(φ) solves of one object, the round loop
@@ -313,20 +309,21 @@ struct BayesCrowdResult {
   /// Final state of every instrument in the run's metrics registry.
   obs::MetricsSnapshot metrics;
 
-  /// Final per-object probabilities (1/0 for decided conditions).
-  /// Midpoints of `probability_intervals`; exactly the interval value
-  /// when the governor is inert.
+  /// Final per-object probabilities (1/0 for decided conditions):
+  /// midpoints of `probability_intervals`.
   std::vector<double> probabilities;
 
   /// Interval-valued final probabilities, aligned with `probabilities`.
-  /// All kExact (lo == hi) when the solver governor is inert.
+  /// kExact (lo == hi) unless a solve ran out of budget — or, without
+  /// budgets, out of ADPLL's own max_calls.
   std::vector<ProbInterval> probability_intervals;
 
   /// Objects whose final probability carries a degraded (non-exact)
   /// ProbQuality grade — the solver budget did not suffice for them.
   std::vector<std::size_t> degraded_objects;
 
-  /// Governor counters for the whole run (all zero when inert).
+  /// Governor counters for the whole run. Every uncached solve tallies
+  /// one tier, so an ungoverned run counts its solves in tier_exact.
   GovernorTally solver;
 
   /// Always zero: the benchmark driver (qbench/) still reads these.

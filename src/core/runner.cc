@@ -62,13 +62,8 @@ Status QueryRunner::Init(const Table& incomplete,
   BAYESCROWD_ASSIGN_OR_RETURN(ctable_,
                               BuildCTable(incomplete, options_.ctable));
 
-  // Attach distributions for every variable the c-table mentions. The
-  // framework-level fallback switch feeds every probability call,
-  // including the marginal-utility computations inside task selection.
-  ProbabilityOptions probability_options = options_.probability;
-  probability_options.sampling_fallback =
-      probability_options.sampling_fallback || options_.sampling_fallback;
-  evaluator_.emplace(probability_options);
+  // Attach distributions for every variable the c-table mentions.
+  evaluator_.emplace(options_.probability);
   ProbabilityEvaluator& evaluator = *evaluator_;
   // Context before binding: BindMetrics resolves the labeled cost
   // instruments, and resolving under the default (s0, adhoc) context
@@ -140,9 +135,9 @@ Status QueryRunner::Init(const Table& incomplete,
   budget_left_ = static_cast<double>(options_.budget);
   consecutive_barren_ = 0;
 
-  // Per-object solver circuit breakers (breaker_threshold). Only a
-  // governed evaluator produces non-exact grades, so the map stays
-  // empty — and the round loop byte-identical — on ungoverned runs.
+  // Per-object solver circuit breakers (breaker_threshold). They guard
+  // the governor's budgets, so on runs without budgets the map stays
+  // empty and the round loop does no breaker bookkeeping.
   breakers_enabled_ = options_.breaker_threshold > 0 &&
                       evaluator.options().governor.enabled();
 
@@ -182,8 +177,7 @@ Status QueryRunner::Init(const Table& incomplete,
           var, knowledge.ConditionDistribution(var, raw->second)));
     }
     BinReader memo_reader(st.evaluator_blob);
-    BAYESCROWD_RETURN_NOT_OK(evaluator.RestoreMemoState(
-        &memo_reader, st.evaluator_blob_format));
+    BAYESCROWD_RETURN_NOT_OK(evaluator.RestoreMemoState(&memo_reader));
     for (const SolverBreakerRecord& b : st.solver_breakers) {
       breakers_[b.object] = b;
     }

@@ -23,39 +23,33 @@ std::uint64_t ConfigFingerprint(const BayesCrowdOptions& options,
   // (never reorder it) when options grow.
   std::string canon = StrFormat(
       "v1|budget=%zu|latency=%zu|threshold=%.17g|confidence=%.17g|"
-      "sampling_fallback=%d|strategy=%d|m=%zu|alpha=%.17g|fastdom=%d|"
-      "method=%d|memoize=%d|pmfallback=%d|fbsamples=%zu|sseed=%llu|"
+      "strategy=%d|m=%zu|alpha=%.17g|fastdom=%d|"
+      "method=%d|memoize=%d|sseed=%llu|"
       "retry=%zu,%.17g,%.17g,%.17g,%.17g,%zu",
       options.budget, options.latency, options.answer_threshold,
       options.confidence_stop_entropy,
-      options.sampling_fallback ? 1 : 0,
       static_cast<int>(options.strategy.kind), options.strategy.m,
       options.ctable.alpha, options.ctable.use_fast_dominators ? 1 : 0,
       static_cast<int>(options.probability.method),
       options.probability.memoize ? 1 : 0,
-      options.probability.sampling_fallback ? 1 : 0,
-      options.probability.fallback_samples,
       static_cast<unsigned long long>(options.probability.sampling_seed),
       options.retry.max_attempts, options.retry.attempt_seconds,
       options.retry.backoff_initial_seconds,
       options.retry.backoff_multiplier,
       options.retry.round_deadline_seconds,
       options.retry.max_barren_rounds);
-  // Governed runs append the budget configuration: a resume under a
-  // different budget would replay a different ladder. The wall-clock
-  // deadline is excluded by design — it only degrades, never changes
-  // values — and inert governors append nothing, so pre-governor
-  // checkpoints keep their fingerprints.
+  // The governor configuration: a resume under different budgets — or,
+  // with none, a different ladder for solves that exhaust max_calls —
+  // would replay a different ladder. The wall-clock deadline is
+  // excluded by design: it only degrades, never changes values.
   const GovernorOptions& governor = options.probability.governor;
-  if (governor.enabled()) {
-    canon += StrFormat(
-        "|governor=%llu,%llu,%d,%zu,%.17g|breaker=%zu|pessimistic=%d",
-        static_cast<unsigned long long>(governor.max_nodes),
-        static_cast<unsigned long long>(governor.max_components),
-        static_cast<int>(governor.ladder), governor.interval_samples,
-        governor.confidence_z, options.breaker_threshold,
-        options.strategy.pessimistic ? 1 : 0);
-  }
+  canon += StrFormat(
+      "|governor=%llu,%llu,%d,%zu,%.17g|breaker=%zu|pessimistic=%d",
+      static_cast<unsigned long long>(governor.max_nodes),
+      static_cast<unsigned long long>(governor.max_components),
+      static_cast<int>(governor.ladder), governor.interval_samples,
+      governor.confidence_z, options.breaker_threshold,
+      options.strategy.pessimistic ? 1 : 0);
   std::uint64_t hash = HashBytes(canon);
   hash = HashBytes(dataset_bytes, hash);
   hash = HashBytes(platform_config, hash);

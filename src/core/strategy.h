@@ -43,7 +43,7 @@ struct StrategyOptions {
   /// point nearest 1/2) instead of the midpoint. Wide, low-quality
   /// intervals then look maximally uncertain, steering crowd tasks
   /// toward the objects the solver understands least. No effect on
-  /// exact results, hence none while the governor is inert.
+  /// exact results, hence almost none without solver budgets.
   bool pessimistic = false;
 };
 

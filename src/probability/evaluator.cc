@@ -5,7 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "common/string_util.h"
 #include "obs/trace.h"
 
 namespace bayescrowd {
@@ -28,8 +27,6 @@ const char* ProbabilityMethodToString(ProbabilityMethod method) {
       return "naive";
     case ProbabilityMethod::kSampled:
       return "sampled";
-    case ProbabilityMethod::kSampledRaoBlackwell:
-      return "sampled-rb";
   }
   return "?";
 }
@@ -214,7 +211,6 @@ void ProbabilityEvaluator::Insert(const ConditionFingerprint& fingerprint,
 
 void ProbabilityEvaluator::SerializeMemoState(std::string* out) const {
   BinWriter w(out);
-  for (const std::uint64_t word : rng_.SaveState()) w.WriteU64(word);
 
   // Sort every map before writing so the blob is canonical: two
   // processes that reached the same logical state emit identical bytes
@@ -259,17 +255,7 @@ void ProbabilityEvaluator::SerializeMemoState(std::string* out) const {
 }
 
 Status ProbabilityEvaluator::ParseMemoBlob(BinReader* reader,
-                                           std::uint32_t format,
                                            MemoBlob* out) {
-  if (format == 0 || format > kMemoStateFormat) {
-    return Status::InvalidArgument(
-        StrFormat("unsupported memo-state format %u",
-                  static_cast<unsigned>(format)));
-  }
-  for (std::uint64_t& word : out->rng_state) {
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&word));
-  }
-
   std::uint64_t n = 0;
   BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 32));
   out->entries.reserve(n);
@@ -278,22 +264,14 @@ Status ProbabilityEvaluator::ParseMemoBlob(BinReader* reader,
     CacheEntry entry;
     BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.first));
     BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.second));
-    if (format == 1) {
-      // Pre-governor blobs hold exact point probabilities under tag-0
-      // stamps; the inert governor's tag is also 0, so they stay live.
-      double probability = 0.0;
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&probability));
-      entry.interval = ProbInterval::Exact(probability);
-    } else {
-      std::uint8_t quality = 0;
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&entry.interval.lo));
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&entry.interval.hi));
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadU8(&quality));
-      if (quality > static_cast<std::uint8_t>(ProbQuality::kUnknown)) {
-        return Status::InvalidArgument("memo state: bad ProbQuality");
-      }
-      entry.interval.quality = static_cast<ProbQuality>(quality);
+    std::uint8_t quality = 0;
+    BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&entry.interval.lo));
+    BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&entry.interval.hi));
+    BAYESCROWD_RETURN_NOT_OK(reader->ReadU8(&quality));
+    if (quality > static_cast<std::uint8_t>(ProbQuality::kUnknown)) {
+      return Status::InvalidArgument("memo state: bad ProbQuality");
     }
+    entry.interval.quality = static_cast<ProbQuality>(quality);
     BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&entry.stamp));
     out->entries.emplace_back(fingerprint, entry);
   }
@@ -325,11 +303,9 @@ Status ProbabilityEvaluator::ParseMemoBlob(BinReader* reader,
   return Status::OK();
 }
 
-Status ProbabilityEvaluator::RestoreMemoState(BinReader* reader,
-                                              std::uint32_t format) {
+Status ProbabilityEvaluator::RestoreMemoState(BinReader* reader) {
   MemoBlob blob;
-  BAYESCROWD_RETURN_NOT_OK(ParseMemoBlob(reader, format, &blob));
-  rng_.LoadState(blob.rng_state);
+  BAYESCROWD_RETURN_NOT_OK(ParseMemoBlob(reader, &blob));
   cache_.clear();
   var_index_.clear();
   var_epoch_.clear();
@@ -340,12 +316,10 @@ Status ProbabilityEvaluator::RestoreMemoState(BinReader* reader,
   return Status::OK();
 }
 
-Result<std::size_t> ProbabilityEvaluator::MergeMemoState(
-    BinReader* reader, std::uint32_t format) {
+Result<std::size_t> ProbabilityEvaluator::MergeMemoState(BinReader* reader) {
   MemoBlob blob;
-  BAYESCROWD_RETURN_NOT_OK(ParseMemoBlob(reader, format, &blob));
-  // The donor's RNG position belongs to the donor's sampling stream,
-  // and its epochs are not adopted either: stamps validate against the
+  BAYESCROWD_RETURN_NOT_OK(ParseMemoBlob(reader, &blob));
+  // The donor's epochs are not adopted: stamps validate against the
   // local epochs, so entries the donor computed under moved epochs
   // simply never hit.
   std::size_t imported = 0;
@@ -363,46 +337,11 @@ Result<std::size_t> ProbabilityEvaluator::MergeMemoState(
   return imported;
 }
 
-Result<double> ProbabilityEvaluator::Compute(const Condition& condition,
-                                             Rng& rng, AdpllStats* stats,
-                                             AdpllScratch* scratch) {
-  Result<double> result = Status::Internal("unknown probability method");
-  switch (options_.method) {
-    case ProbabilityMethod::kAdpll: {
-      BAYESCROWD_TRACE_SPAN("adpll.solve");
-      result = AdpllProbability(condition, dists_, options_.adpll, stats,
-                                scratch);
-      break;
-    }
-    case ProbabilityMethod::kNaive:
-      result = NaiveProbability(condition, dists_, options_.naive);
-      break;
-    case ProbabilityMethod::kSampled:
-      return SampledProbability(condition, dists_, options_.sampling, rng);
-    case ProbabilityMethod::kSampledRaoBlackwell:
-      return SampledProbabilityRaoBlackwell(condition, dists_,
-                                            options_.sampling, rng);
-  }
-  if (!result.ok() && options_.sampling_fallback &&
-      result.status().code() == StatusCode::kResourceExhausted) {
-    SamplingOptions fallback;
-    fallback.num_samples = options_.fallback_samples;
-    return SampledProbability(condition, dists_, fallback, rng);
-  }
-  return result;
-}
-
 Result<ProbInterval> ProbabilityEvaluator::ComputeInterval(
-    const Condition& condition, Rng& rng, AdpllStats* stats,
-    GovernorTally* tally, AdpllScratch* scratch) {
-  if (!options_.governor.enabled()) {
-    // Inert governor: the legacy point-valued path, byte for byte
-    // (including the sampling_fallback behavior), graded kExact.
-    BAYESCROWD_ASSIGN_OR_RETURN(const double p,
-                                Compute(condition, rng, stats, scratch));
-    return ProbInterval::Exact(p);
-  }
+    const Condition& condition, const ConditionFingerprint& fingerprint,
+    AdpllStats* stats, GovernorTally* tally, AdpllScratch* scratch) {
   const SolverGovernor governor(options_.governor);
+  Rng rng = ConditionRng(fingerprint);
   switch (options_.method) {
     case ProbabilityMethod::kAdpll: {
       BAYESCROWD_TRACE_SPAN("adpll.solve");
@@ -414,36 +353,8 @@ Result<ProbInterval> ProbabilityEvaluator::ComputeInterval(
       return governor.EvaluateNaive(condition, dists_, options_.naive,
                                     options_.sampling, rng, tally);
     case ProbabilityMethod::kSampled:
-    case ProbabilityMethod::kSampledRaoBlackwell: {
-      // Sampled methods have no exact tier; the governor only adds the
-      // wall-clock cap, degrading a cancelled estimate to [0, 1].
-      SolverControl control;
-      if (options_.governor.deadline_ms > 0) {
-        control.SetDeadline(
-            std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(options_.governor.deadline_ms));
-      }
-      SamplingOptions governed = options_.sampling;
-      governed.control = &control;
-      Result<double> p =
-          options_.method == ProbabilityMethod::kSampled
-              ? SampledProbability(condition, dists_, governed, rng)
-              : SampledProbabilityRaoBlackwell(condition, dists_, governed,
-                                               rng);
-      if (p.ok()) {
-        if (tally != nullptr) ++tally->tier_sampled;
-        return ProbInterval{p.value(), p.value(), ProbQuality::kSampledCI};
-      }
-      if (p.status().code() != StatusCode::kResourceExhausted) {
-        return p.status();
-      }
-      if (tally != nullptr) {
-        ++tally->budget_exhausted;
-        ++tally->deadline_hits;
-        ++tally->tier_unknown;
-      }
-      return ProbInterval::Unknown();
-    }
+      return governor.EvaluateSampled(condition, dists_, options_.sampling,
+                                      rng, tally);
   }
   return Status::Internal("unknown probability method");
 }
@@ -465,16 +376,10 @@ Result<ProbInterval> ProbabilityEvaluator::ProbabilityInterval(
   ReserveScratch(1);
   AdpllStats stats;
   GovernorTally tally;
-  const bool governed = options_.governor.enabled();
+  const ConditionFingerprint fingerprint = condition.Fingerprint();
   if (!Memoizable()) {
-    // Governed sampling tiers draw from the per-condition stream so the
-    // sequential and batch paths agree; the legacy path keeps the
-    // shared stream for bit-compatibility.
-    Rng cond_rng =
-        governed ? ConditionRng(condition.Fingerprint()) : Rng(0);
-    Result<ProbInterval> p =
-        ComputeInterval(condition, governed ? cond_rng : rng_, &stats,
-                        &tally, &adpll_scratch_[0]);
+    Result<ProbInterval> p = ComputeInterval(condition, fingerprint, &stats,
+                                             &tally, &adpll_scratch_[0]);
     AddAdpllStats(stats);
     AddSolverTally(tally);
     if (p.ok()) {
@@ -483,7 +388,6 @@ Result<ProbInterval> ProbabilityEvaluator::ProbabilityInterval(
     return p;
   }
 
-  const ConditionFingerprint fingerprint = condition.Fingerprint();
   const auto it = cache_.find(fingerprint);
   if (it != cache_.end() &&
       it->second.stamp ==
@@ -494,10 +398,8 @@ Result<ProbInterval> ProbabilityEvaluator::ProbabilityInterval(
   }
   ins_.cache_misses->Increment();
 
-  Rng cond_rng = governed ? ConditionRng(fingerprint) : Rng(0);
-  Result<ProbInterval> computed =
-      ComputeInterval(condition, governed ? cond_rng : rng_, &stats,
-                      &tally, &adpll_scratch_[0]);
+  Result<ProbInterval> computed = ComputeInterval(
+      condition, fingerprint, &stats, &tally, &adpll_scratch_[0]);
   AddAdpllStats(stats);
   AddSolverTally(tally);
   if (!computed.ok()) return computed.status();
@@ -576,11 +478,10 @@ ProbabilityEvaluator::EvaluateBatchIntervals(
                              &lane_tallies,
                              &miss_nodes](std::size_t lane, std::size_t m) {
     const std::size_t i = misses[m];
-    Rng rng = ConditionRng(fingerprints[i]);
     const std::uint64_t calls_before = lane_stats[lane].calls;
     Result<ProbInterval> p = ComputeInterval(
-        *conditions[i], rng, &lane_stats[lane], &lane_tallies[lane],
-        &adpll_scratch_[lane]);
+        *conditions[i], fingerprints[i], &lane_stats[lane],
+        &lane_tallies[lane], &adpll_scratch_[lane]);
     miss_nodes[m] = lane_stats[lane].calls - calls_before;
     if (!p.ok()) {
       errors[m] = p.status();

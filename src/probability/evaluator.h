@@ -19,7 +19,6 @@
 #ifndef BAYESCROWD_PROBABILITY_EVALUATOR_H_
 #define BAYESCROWD_PROBABILITY_EVALUATOR_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -46,7 +45,6 @@ enum class ProbabilityMethod : std::uint8_t {
   kAdpll,
   kNaive,
   kSampled,
-  kSampledRaoBlackwell,
 };
 
 const char* ProbabilityMethodToString(ProbabilityMethod method);
@@ -56,23 +54,17 @@ struct ProbabilityOptions {
   AdpllOptions adpll;
   NaiveOptions naive;
   SamplingOptions sampling;
+  /// Seeds the per-condition sampling streams (see ConditionRng).
   std::uint64_t sampling_seed = 1234;
-
-  /// When an exact method exhausts its resource budget on a
-  /// pathological condition, estimate by Monte-Carlo sampling instead
-  /// of failing.
-  bool sampling_fallback = false;
-  std::size_t fallback_samples = 20'000;
 
   /// Memoize Pr(φ) per condition fingerprint (exact methods only;
   /// sampled estimates are never cached). Disable for ablations.
   bool memoize = true;
 
   /// Resource budgets + degradation ladder for every evaluation (see
-  /// governor.h). Inert by default: all solver paths then behave
-  /// byte-identically to a build without the governor. When enabled it
-  /// supersedes `sampling_fallback` for the governed methods — the
-  /// ladder's sampling tier plays that role with an explicit grade.
+  /// governor.h). Inert (no budgets) by default: exact solves then run
+  /// with the method's own options, and only a solve that exhausts the
+  /// method's own limits (AdpllOptions::max_calls) walks the ladder.
   GovernorOptions governor;
 
   /// Tenant-safe cache scope. Folded into every memo stamp (alongside
@@ -84,16 +76,9 @@ struct ProbabilityOptions {
   /// Pr(φ) could validate against dataset B's equal-fingerprint
   /// condition. A serving layer derives this from the tenant id plus
   /// the dataset/options fingerprint (see serve/cache.h). 0 (the
-  /// default) contributes nothing, keeping every pre-scope stamp and
-  /// checkpoint blob valid.
+  /// default) contributes nothing to the stamp.
   std::uint64_t cache_scope = 0;
 };
-
-/// Current on-disk format of SerializeMemoState blobs: graded interval
-/// entries, the variable index, and the distribution epochs. Format 1
-/// (point probabilities, pre-governor) is still readable; pass the
-/// version recorded alongside the blob to RestoreMemoState.
-inline constexpr std::uint32_t kMemoStateFormat = 2;
 
 /// Cumulative memo-cache counters (never reset by the evaluator; take
 /// before/after snapshots for per-phase rates).
@@ -107,7 +92,7 @@ struct EvaluatorCacheStats {
 class ProbabilityEvaluator {
  public:
   explicit ProbabilityEvaluator(ProbabilityOptions options = {})
-      : options_(std::move(options)), rng_(options_.sampling_seed) {
+      : options_(std::move(options)) {
     BindMetrics(nullptr);
   }
 
@@ -132,13 +117,12 @@ class ProbabilityEvaluator {
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* thread_pool() const { return pool_; }
 
-  /// Pr(φ) by the configured method (memoized). With a governor
-  /// enabled this is the midpoint of ProbabilityInterval().
+  /// Pr(φ) by the configured method (memoized): the midpoint of
+  /// ProbabilityInterval().
   Result<double> Probability(const Condition& condition);
 
   /// Governed Pr(φ): exact when the budget suffices (lo == hi), a
-  /// graded interval otherwise. With the governor inert the result is
-  /// always kExact and numerically identical to Probability().
+  /// graded interval otherwise.
   Result<ProbInterval> ProbabilityInterval(const Condition& condition);
 
   /// Pr(φ) for a batch of conditions, fanned across the thread pool.
@@ -184,8 +168,9 @@ class ProbabilityEvaluator {
   EvaluatorCacheStats cache_stats() const;
   AdpllStats adpll_stats() const;
 
-  /// Governor counters ("solver.*"), read back the same way. All zero
-  /// while the governor is inert.
+  /// Governor counters ("solver.*"), read back the same way. Every
+  /// uncached solve tallies one tier, so an inert governor counts its
+  /// exact solves in tier_exact.
   GovernorTally solver_stats() const;
 
   /// Points the evaluator's instruments ("evaluator.cache.*",
@@ -224,33 +209,32 @@ class ProbabilityEvaluator {
   }
   const GovernorOptions& governor() const { return options_.governor; }
 
-  /// Appends the memo state (sampling RNG position, cache entries with
-  /// their stamps, variable index, distribution epochs) to `out` in a
-  /// canonical binary form, so a resumed session replays the exact
-  /// hit/miss sequence of the uninterrupted run. Distributions are NOT
-  /// included — the caller re-derives them from checkpointed knowledge.
+  /// Appends the memo state (cache entries with their stamps, variable
+  /// index, distribution epochs) to `out` in a canonical binary form,
+  /// so a resumed session replays the exact hit/miss sequence of the
+  /// uninterrupted run. Distributions are NOT included — the caller
+  /// re-derives them from checkpointed knowledge. The blob ("memo
+  /// format 3") carries no version of its own: the enclosing checkpoint
+  /// envelope's version fixes its layout (core/checkpoint.h).
   void SerializeMemoState(std::string* out) const;
 
   /// Restores state written by SerializeMemoState. Call after the
   /// post-resume SetDistribution pass: the imported epochs overwrite the
-  /// setup-time ones, keeping the saved stamps valid. `format` selects
-  /// the blob layout: format-1 blobs (pre-governor checkpoints) load as
-  /// exact point entries.
-  Status RestoreMemoState(BinReader* reader,
-                          std::uint32_t format = kMemoStateFormat);
+  /// setup-time ones, keeping the saved stamps valid. A blob that does
+  /// not parse leaves the evaluator untouched.
+  Status RestoreMemoState(BinReader* reader);
 
   /// Warm-start merge for a shared cross-session cache: imports the
   /// memo entries and variable index of a SerializeMemoState blob
-  /// WITHOUT touching this evaluator's RNG stream, distribution epochs,
-  /// or existing entries (existing entries win on fingerprint
+  /// WITHOUT touching this evaluator's distribution epochs or
+  /// existing entries (existing entries win on fingerprint
   /// collisions; RestoreMemoState, by contrast, clears everything and
   /// adopts the blob's epochs). An imported entry only ever serves a
   /// hit when its stamp validates against the *local* epochs and
   /// scope/budget tags — the standard lookup check — so merging a
   /// foreign blob is always sound; mismatched entries are dead weight,
   /// never wrong answers. Returns the number of memo entries imported.
-  Result<std::size_t> MergeMemoState(BinReader* reader,
-                                     std::uint32_t format = kMemoStateFormat);
+  Result<std::size_t> MergeMemoState(BinReader* reader);
 
  private:
   struct CacheEntry {
@@ -260,7 +244,6 @@ class ProbabilityEvaluator {
 
   /// One parsed SerializeMemoState blob, section by section.
   struct MemoBlob {
-    std::array<std::uint64_t, 4> rng_state{};
     std::vector<std::pair<ConditionFingerprint, CacheEntry>> entries;
     std::vector<std::pair<PackedVar, std::vector<ConditionFingerprint>>>
         index;
@@ -268,10 +251,8 @@ class ProbabilityEvaluator {
   };
 
   /// The one reader behind RestoreMemoState and MergeMemoState: parses
-  /// a blob of `format` (1: point probabilities, 2: graded intervals)
-  /// without touching any evaluator state.
-  static Status ParseMemoBlob(BinReader* reader, std::uint32_t format,
-                              MemoBlob* out);
+  /// a blob without touching any evaluator state.
+  static Status ParseMemoBlob(BinReader* reader, MemoBlob* out);
 
   /// Order-insensitive digest of the distribution epochs of every
   /// variable occurrence in `condition`; changes whenever any mentioned
@@ -281,12 +262,11 @@ class ProbabilityEvaluator {
   /// Budget-tier component of cache stamps: entries computed under one
   /// governor configuration never satisfy lookups under another (a
   /// low-budget interval must not be served where a higher-budget
-  /// exact value was asked for). 0 — the v1 stamp — when inert.
+  /// exact value was asked for).
   std::uint64_t BudgetTag() const { return options_.governor.Fingerprint(); }
 
   /// Tenant-scope component of cache stamps (see
-  /// ProbabilityOptions::cache_scope). 0 — the legacy stamp — for the
-  /// default scope.
+  /// ProbabilityOptions::cache_scope). 0 for the default scope.
   std::uint64_t ScopeTag() const;
 
   bool Memoizable() const {
@@ -295,17 +275,15 @@ class ProbabilityEvaluator {
             options_.method == ProbabilityMethod::kNaive);
   }
 
-  /// One uncached evaluation. `rng` supplies sampling draws (batch mode
-  /// passes a per-condition generator so parallel order cannot leak into
-  /// results); `stats` receives ADPLL counters; `scratch` holds the
-  /// solver's reusable per-lane buffers (nullptr: per-call buffers).
-  Result<double> Compute(const Condition& condition, Rng& rng,
-                         AdpllStats* stats, AdpllScratch* scratch);
-
-  /// One uncached *governed* evaluation: dispatches to Compute when the
-  /// governor is inert (grading the result kExact), otherwise walks the
-  /// degradation ladder. `tally` receives the governor counters.
-  Result<ProbInterval> ComputeInterval(const Condition& condition, Rng& rng,
+  /// The one uncached evaluation: runs the configured method under the
+  /// SolverGovernor, walking the degradation ladder when a budget (or
+  /// the method's own limit) runs out. Sampling draws come from the
+  /// condition's own stream (ConditionRng), so evaluation order cannot
+  /// leak into results; `stats` receives ADPLL counters, `tally` the
+  /// governor counters; `scratch` holds the solver's reusable per-lane
+  /// buffers (nullptr: per-call buffers).
+  Result<ProbInterval> ComputeInterval(const Condition& condition,
+                                       const ConditionFingerprint& fingerprint,
                                        AdpllStats* stats,
                                        GovernorTally* tally,
                                        AdpllScratch* scratch);
@@ -327,7 +305,6 @@ class ProbabilityEvaluator {
 
   ProbabilityOptions options_;
   DistributionMap dists_;
-  Rng rng_;
 
   ThreadPool* pool_ = nullptr;
 

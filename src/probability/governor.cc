@@ -24,6 +24,18 @@ bool AllowsSampleTier(LadderMode mode) {
   return mode == LadderMode::kFull || mode == LadderMode::kSample;
 }
 
+// Arms `control` with the wall-clock cap and returns it, or returns
+// `fallback` (the caller's own control, usually null) without a
+// deadline: an ungoverned solve then polls exactly what it polled
+// before, so its exact tier costs and computes the same.
+SolverControl* ArmDeadline(std::int64_t deadline_ms, SolverControl* control,
+                           SolverControl* fallback) {
+  if (deadline_ms <= 0) return fallback;
+  control->SetDeadline(std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(deadline_ms));
+  return control;
+}
+
 }  // namespace
 
 const char* ProbQualityToString(ProbQuality quality) {
@@ -70,13 +82,12 @@ bool ParseLadderMode(const std::string& name, LadderMode* mode) {
 }
 
 std::uint64_t GovernorOptions::Fingerprint() const {
-  // 0 is reserved for the inert governor so pre-governor cache blobs
-  // keep their stamps. The deadline *value* is excluded (wall-clock
-  // degrades, never changes results), but deadline-enabled runs still
-  // get their own tag: they may cache degraded intervals that must not
-  // be served to an ungoverned run.
-  if (!enabled()) return 0;
-  std::uint64_t h = SplitMix64(0xB0D6E7ULL);
+  // Inert governors are hashed too: a solve that exhausts the solver's
+  // own max_calls walks their ladder. The deadline *value* is excluded
+  // (wall-clock degrades, never changes results), but enabled() is
+  // not: a deadline-only governor may cache degraded intervals that
+  // must not be served to a run without budgets.
+  std::uint64_t h = SplitMix64(0xB0D6E7ULL ^ (enabled() ? 1 : 0));
   h = SplitMix64(h ^ max_nodes);
   h = SplitMix64(h ^ max_components);
   h = SplitMix64(h ^ static_cast<std::uint64_t>(ladder));
@@ -84,8 +95,7 @@ std::uint64_t GovernorOptions::Fingerprint() const {
   std::uint64_t z_bits = 0;
   static_assert(sizeof(z_bits) == sizeof(confidence_z));
   std::memcpy(&z_bits, &confidence_z, sizeof(z_bits));
-  h = SplitMix64(h ^ z_bits);
-  return h == 0 ? 1 : h;
+  return SplitMix64(h ^ z_bits);
 }
 
 Result<ProbInterval> SolverGovernor::SampleTier(
@@ -107,11 +117,6 @@ Result<ProbInterval> SolverGovernor::Evaluate(
     const AdpllOptions& base, const SamplingOptions& sampling, Rng& rng,
     AdpllStats* stats, GovernorTally* tally, AdpllScratch* scratch) const {
   SolverControl control;
-  if (options_.deadline_ms > 0) {
-    control.SetDeadline(std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options_.deadline_ms));
-  }
-
   AdpllOptions governed = base;
   if (options_.max_nodes > 0) {
     governed.max_calls = std::min(base.max_calls, options_.max_nodes);
@@ -126,20 +131,18 @@ Result<ProbInterval> SolverGovernor::Evaluate(
             ? std::min(base.max_component_splits, options_.max_components)
             : options_.max_components;
   }
-  governed.control = &control;
+  governed.control = ArmDeadline(options_.deadline_ms, &control, base.control);
 
-  // Tier 1: exact ADPLL within the budget.
-  {
-    BAYESCROWD_TRACE_SPAN("governor.tier.exact");
-    Result<double> exact =
-        AdpllProbability(condition, dists, governed, stats, scratch);
-    if (exact.ok()) {
-      if (tally != nullptr) ++tally->tier_exact;
-      return ProbInterval::Exact(exact.value());
-    }
-    if (exact.status().code() != StatusCode::kResourceExhausted) {
-      return exact.status();
-    }
+  // Tier 1: exact ADPLL within the budget. No span of its own: the
+  // caller's adpll.solve span covers it, one span per solve.
+  Result<double> exact =
+      AdpllProbability(condition, dists, governed, stats, scratch);
+  if (exact.ok()) {
+    if (tally != nullptr) ++tally->tier_exact;
+    return ProbInterval::Exact(exact.value());
+  }
+  if (exact.status().code() != StatusCode::kResourceExhausted) {
+    return exact.status();
   }
   if (tally != nullptr) {
     ++tally->budget_exhausted;
@@ -169,7 +172,8 @@ Result<ProbInterval> SolverGovernor::Evaluate(
   // Tier 3: sampled estimate with a confidence interval.
   if (AllowsSampleTier(options_.ladder)) {
     Result<ProbInterval> ci =
-        SampleTier(condition, dists, sampling, &control, rng, tally);
+        SampleTier(condition, dists, sampling, governed.control, rng,
+                   tally);
     if (ci.ok()) return ci;
     if (ci.status().code() != StatusCode::kResourceExhausted) {
       return ci.status();
@@ -186,28 +190,20 @@ Result<ProbInterval> SolverGovernor::EvaluateNaive(
     const NaiveOptions& base, const SamplingOptions& sampling, Rng& rng,
     GovernorTally* tally) const {
   SolverControl control;
-  if (options_.deadline_ms > 0) {
-    control.SetDeadline(std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options_.deadline_ms));
-  }
-
   NaiveOptions governed = base;
   if (options_.max_nodes > 0) {
     governed.max_assignments =
         std::min(base.max_assignments, options_.max_nodes);
   }
-  governed.control = &control;
+  governed.control = ArmDeadline(options_.deadline_ms, &control, base.control);
 
-  {
-    BAYESCROWD_TRACE_SPAN("governor.tier.exact");
-    Result<double> exact = NaiveProbability(condition, dists, governed);
-    if (exact.ok()) {
-      if (tally != nullptr) ++tally->tier_exact;
-      return ProbInterval::Exact(exact.value());
-    }
-    if (exact.status().code() != StatusCode::kResourceExhausted) {
-      return exact.status();
-    }
+  Result<double> exact = NaiveProbability(condition, dists, governed);
+  if (exact.ok()) {
+    if (tally != nullptr) ++tally->tier_exact;
+    return ProbInterval::Exact(exact.value());
+  }
+  if (exact.status().code() != StatusCode::kResourceExhausted) {
+    return exact.status();
   }
   if (tally != nullptr) {
     ++tally->budget_exhausted;
@@ -233,7 +229,8 @@ Result<ProbInterval> SolverGovernor::EvaluateNaive(
 
   if (AllowsSampleTier(options_.ladder)) {
     Result<ProbInterval> ci =
-        SampleTier(condition, dists, sampling, &control, rng, tally);
+        SampleTier(condition, dists, sampling, governed.control, rng,
+                   tally);
     if (ci.ok()) return ci;
     if (ci.status().code() != StatusCode::kResourceExhausted) {
       return ci.status();
@@ -241,6 +238,30 @@ Result<ProbInterval> SolverGovernor::EvaluateNaive(
   }
 
   if (tally != nullptr) ++tally->tier_unknown;
+  return ProbInterval::Unknown();
+}
+
+Result<ProbInterval> SolverGovernor::EvaluateSampled(
+    const Condition& condition, const DistributionMap& dists,
+    const SamplingOptions& base, Rng& rng, GovernorTally* tally) const {
+  // No exact tier to budget: only the wall-clock cap applies, and a
+  // cancelled estimate degrades straight to [0, 1].
+  SolverControl control;
+  SamplingOptions governed = base;
+  governed.control = ArmDeadline(options_.deadline_ms, &control, base.control);
+  Result<double> p = SampledProbability(condition, dists, governed, rng);
+  if (p.ok()) {
+    if (tally != nullptr) ++tally->tier_sampled;
+    return ProbInterval{p.value(), p.value(), ProbQuality::kSampledCI};
+  }
+  if (p.status().code() != StatusCode::kResourceExhausted) {
+    return p.status();
+  }
+  if (tally != nullptr) {
+    ++tally->budget_exhausted;
+    if (control.stopped()) ++tally->deadline_hits;
+    ++tally->tier_unknown;
+  }
   return ProbInterval::Unknown();
 }
 

@@ -14,6 +14,12 @@
 //           normal-approximation confidence interval      → kSampledCI
 //   tier 4  the uninformative [0, 1]                      → kUnknown
 //
+// Every uncached evaluation runs through the governor. An inert one (no
+// budgets, no deadline) runs tier 1 with the caller's solver options
+// unchanged, so exact answers are the plain solver's bits; it walks the
+// ladder only when the solver's own limit (AdpllOptions::max_calls)
+// runs out.
+//
 // Determinism contract: the node and component budgets are counted in
 // solver decisions, so which tier answers — and the answer itself — is
 // reproducible across runs, thread counts, and kill/resume. The
@@ -77,17 +83,16 @@ struct GovernorOptions {
   /// (2.576 ≈ a two-sided 99% interval).
   double confidence_z = 2.5758293035489004;
 
-  /// An inert governor (nothing to enforce) leaves every solver path
-  /// byte-identical to the ungoverned build.
+  /// True when any budget or deadline is set. An inert governor adds
+  /// nothing to the exact tier: it solves with the caller's options.
   bool enabled() const {
     return max_nodes > 0 || max_components > 0 || deadline_ms > 0;
   }
 
   /// Digest of the budget configuration that changes *values* (the
   /// deadline does not). Folded into evaluator cache stamps so results
-  /// computed under one budget tier are never served under another;
-  /// exactly 0 when the governor is inert, which keeps pre-governor
-  /// cache blobs valid.
+  /// computed under one budget tier or ladder are never served under
+  /// another.
   std::uint64_t Fingerprint() const;
 };
 
@@ -140,6 +145,14 @@ class SolverGovernor {
                                      const NaiveOptions& base,
                                      const SamplingOptions& sampling,
                                      Rng& rng, GovernorTally* tally) const;
+
+  /// Governed Monte-Carlo estimate (the kSampled method): no exact tier,
+  /// so only the deadline applies. The point estimate is graded
+  /// kSampledCI; a cancelled one degrades to [0, 1].
+  Result<ProbInterval> EvaluateSampled(const Condition& condition,
+                                       const DistributionMap& dists,
+                                       const SamplingOptions& base, Rng& rng,
+                                       GovernorTally* tally) const;
 
  private:
   Result<ProbInterval> SampleTier(const Condition& condition,

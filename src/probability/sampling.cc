@@ -75,112 +75,6 @@ Result<double> SampledProbability(const Condition& condition,
          static_cast<double>(options.num_samples);
 }
 
-Result<double> SampledProbabilityRaoBlackwell(const Condition& condition,
-                                              const DistributionMap& dists,
-                                              const SamplingOptions& options,
-                                              Rng& rng) {
-  if (condition.IsTrue()) return 1.0;
-  if (condition.IsFalse()) return 0.0;
-  if (options.num_samples == 0) {
-    return Status::InvalidArgument("num_samples must be > 0");
-  }
-  if (condition.conjuncts().size() < 2) {
-    // Single conjunct: exact small enumeration is cheaper than sampling.
-    return NaiveProbability(condition, dists);
-  }
-
-  // Hold out the largest conjunct for exact conditional integration.
-  std::size_t held = 0;
-  for (std::size_t c = 1; c < condition.conjuncts().size(); ++c) {
-    if (condition.conjuncts()[c].size() >
-        condition.conjuncts()[held].size()) {
-      held = c;
-    }
-  }
-  std::vector<CellRef> held_vars;
-  for (const Expression& e : condition.conjuncts()[held]) {
-    for (const CellRef& var : e.Variables()) {
-      if (std::find(held_vars.begin(), held_vars.end(), var) ==
-          held_vars.end()) {
-        held_vars.push_back(var);
-      }
-    }
-  }
-
-  std::vector<CellRef> vars;
-  std::vector<const std::vector<double>*> var_dists;
-  BAYESCROWD_RETURN_NOT_OK(
-      CollectDistributions(condition, dists, &vars, &var_dists));
-
-  // Variables to sample: everything not exclusive to the held conjunct.
-  // (Shared variables must still be sampled so the held conjunct's
-  // conditional probability is computed against a full context.)
-  std::vector<bool> sampled(vars.size(), true);
-  for (std::size_t i = 0; i < vars.size(); ++i) {
-    const CellRef& var = vars[i];
-    bool only_in_held = std::find(held_vars.begin(), held_vars.end(),
-                                  var) != held_vars.end();
-    if (!only_in_held) continue;
-    for (std::size_t c = 0; c < condition.conjuncts().size(); ++c) {
-      if (c == held) continue;
-      for (const Expression& e : condition.conjuncts()[c]) {
-        if (e.InvolvesVariable(var)) {
-          only_in_held = false;
-          break;
-        }
-      }
-      if (!only_in_held) break;
-    }
-    if (only_in_held) sampled[i] = false;
-  }
-
-  std::map<CellRef, std::size_t> index;
-  for (std::size_t i = 0; i < vars.size(); ++i) index[vars[i]] = i;
-  std::vector<Level> assignment(vars.size(), 0);
-  const auto value_of = [&](const CellRef& var) {
-    return assignment[index.at(var)];
-  };
-
-  double total = 0.0;
-  for (std::size_t s = 0; s < options.num_samples; ++s) {
-    if (options.control != nullptr && options.control->ShouldStop()) {
-      return Status::ResourceExhausted("sampling cancelled");
-    }
-    for (std::size_t i = 0; i < vars.size(); ++i) {
-      if (sampled[i]) assignment[i] = SampleFrom(*var_dists[i], rng);
-    }
-    // All other conjuncts must hold under the sampled assignment.
-    bool rest_ok = true;
-    for (std::size_t c = 0; c < condition.conjuncts().size() && rest_ok;
-         ++c) {
-      if (c == held) continue;
-      bool satisfied = false;
-      for (const Expression& e : condition.conjuncts()[c]) {
-        const Level lhs = value_of(e.lhs);
-        const Level rhs = e.rhs_is_var ? value_of(e.rhs_var) : e.rhs_const;
-        if (e.EvaluateComplete(lhs, rhs) == Truth::kTrue) {
-          satisfied = true;
-          break;
-        }
-      }
-      rest_ok = satisfied;
-    }
-    if (!rest_ok) continue;
-
-    // Exact P(held conjunct | sampled shared variables): substitute the
-    // sampled values, then integrate the exclusive variables.
-    Condition reduced = Condition::Cnf({condition.conjuncts()[held]});
-    for (std::size_t i = 0; i < vars.size(); ++i) {
-      if (!sampled[i] || reduced.IsDecided()) continue;
-      reduced = reduced.SubstituteVariable(vars[i], assignment[i]);
-    }
-    BAYESCROWD_ASSIGN_OR_RETURN(const double p_held,
-                                NaiveProbability(reduced, dists));
-    total += p_held;
-  }
-  return total / static_cast<double>(options.num_samples);
-}
-
 Result<ProbInterval> SampledProbabilityInterval(const Condition& condition,
                                                 const DistributionMap& dists,
                                                 const SamplingOptions& options,

@@ -1,8 +1,7 @@
 // Sampling-based approximate probability computation — the generalized
 // ApproxCount comparison point of Section 5. Assignments are forward-
 // sampled from the variable distributions and the satisfaction rate is
-// the estimate; a per-conjunct Rao-Blackwellised variant reduces
-// variance by integrating the last correlated conjunct exactly.
+// the estimate.
 
 #ifndef BAYESCROWD_PROBABILITY_SAMPLING_H_
 #define BAYESCROWD_PROBABILITY_SAMPLING_H_
@@ -30,15 +29,6 @@ struct SamplingOptions {
 Result<double> SampledProbability(const Condition& condition,
                                   const DistributionMap& dists,
                                   const SamplingOptions& options, Rng& rng);
-
-/// Rao-Blackwellised estimate: samples every variable except those of
-/// one chosen conjunct, whose conditional probability is computed
-/// exactly per sample. Lower variance at slightly higher per-sample
-/// cost.
-Result<double> SampledProbabilityRaoBlackwell(const Condition& condition,
-                                              const DistributionMap& dists,
-                                              const SamplingOptions& options,
-                                              Rng& rng);
 
 /// Monte-Carlo estimate wrapped in a normal-approximation confidence
 /// interval (± z·sqrt(p̂(1−p̂)/n) + ½/n continuity margin, clamped to

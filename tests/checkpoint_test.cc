@@ -1,7 +1,7 @@
 // Checkpoint format and store tests: envelope integrity, payload
 // round-trips, generation management, corruption fallback, the
-// committed v1/v2 golden fixtures (forward-compat contract), and the
-// v4/v3 boundary (v3 is a retired version every reader refuses).
+// committed v5 golden fixture, and the version gate (v5 is the only
+// version read; older ones are refused and recovery falls back).
 
 #include "core/checkpoint.h"
 
@@ -18,6 +18,7 @@
 #include "common/binio.h"
 #include "common/fileio.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "core/framework.h"
 #include "core/session.h"
 #include "crowd/platform.h"
@@ -52,10 +53,29 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
+/// The one cached condition of the golden memo blob, and the
+/// distribution of its variable.
+Condition GoldenMemoCondition() {
+  return Condition::Cnf(
+      {{Expression::VarConst(V(2, 1), CmpOp::kGreater, 1)}});
+}
+std::vector<double> GoldenMemoDist() { return {0.5, 0.25, 0.25}; }
+
+/// A format-3 memo blob holding GoldenMemoCondition's exact entry.
+std::string GoldenMemoBlob() {
+  ProbabilityEvaluator evaluator;
+  EXPECT_TRUE(evaluator.SetDistribution(V(2, 1), GoldenMemoDist()).ok());
+  EXPECT_TRUE(evaluator.Probability(GoldenMemoCondition()).ok());
+  std::string blob;
+  evaluator.SerializeMemoState(&blob);
+  return blob;
+}
+
 /// A deterministic, richly-populated state: every field class exercised
 /// (decided + CNF conditions, round logs with recovery data, metrics of
-/// all three kinds, binary blobs, session-layer stamps). Also the
-/// generator of the committed golden fixture — see GoldenV1Fixture.
+/// all three kinds, binary blobs, a real memo blob, session-layer
+/// stamps). Also the generator of the committed golden fixture — see
+/// GoldenV5FixtureTest.
 SessionState MakeGoldenState() {
   SessionState state;
   state.budget_left = 12.5;
@@ -98,7 +118,7 @@ SessionState MakeGoldenState() {
         Expression::VarConst(V(2, 1), CmpOp::kLess, 7)}}));
 
   state.knowledge_blob = std::string("kb\x00\x01\x7f", 5);
-  state.evaluator_blob = std::string("memo\xff", 5);
+  state.evaluator_blob = GoldenMemoBlob();
 
   obs::MetricsRegistry registry;
   registry.GetCounter("framework.tasks_posted")->Increment(9);
@@ -113,7 +133,7 @@ SessionState MakeGoldenState() {
   state.network_blob = "bayesnet v1\n";
   state.config_fingerprint = 0x1234abcd5678ef90ULL;
 
-  // v2 fields: one open and one counting breaker, ascending object id.
+  // One open and one counting breaker, ascending object id.
   SolverBreakerRecord open_breaker;
   open_breaker.object = 2;
   open_breaker.fingerprint = {0xfeedbeefULL, 0x12345678ULL};
@@ -526,77 +546,31 @@ TEST(CheckpointStoreTest, TornTmpWritePromotedByRenameFallsBack) {
 }
 
 // ------------------------------------------------------------------- //
-// Golden fixtures. golden_v1.ckpt is a frozen pre-governor checkpoint:
-// HEAD must load it forever through the versioned path (it cannot be
-// regenerated — no v1 writer exists anymore). golden_v2.ckpt matches
-// today's writer byte-for-byte; regenerate with:
+// Golden fixture. golden_v5.ckpt matches today's writer byte-for-byte,
+// memo blob included; regenerate with:
 //   BC_REGEN_GOLDEN=1 ./checkpoint_test
 // ------------------------------------------------------------------- //
 
-TEST(GoldenV1FixtureTest, CommittedFixtureLoadsOnHead) {
-  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v1.ckpt";
-  const std::string bytes = ReadFileBytes(path);
-  ASSERT_FALSE(bytes.empty()) << "missing fixture " << path;
-
-  std::uint32_t version = 0;
-  const auto payload = UnwrapCheckpoint(bytes, &version);
-  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
-  EXPECT_EQ(version, 1u);
-  BinReader reader(payload.value());
-  SessionState restored;
-  ASSERT_TRUE(
-      DeserializeSessionState(&reader, &restored, version).ok());
-
-  // A v1 payload loads with the governor-era fields defaulted: no
-  // breaker records, and the evaluator blob marked as the format-1
-  // (point-probability) layout so RestoreMemoState parses it right.
-  EXPECT_TRUE(restored.solver_breakers.empty());
-  EXPECT_EQ(restored.evaluator_blob_format, 1u);
-
-  const SessionState expected = MakeGoldenState();
-  EXPECT_EQ(restored.rounds, 3u);
-  EXPECT_EQ(restored.budget_left, expected.budget_left);
-  EXPECT_EQ(restored.answer_log_offset, 7u);
-  EXPECT_EQ(restored.config_fingerprint, 0x1234abcd5678ef90ULL);
-  ASSERT_EQ(restored.conditions.size(), 3u);
-  EXPECT_TRUE(restored.conditions[0].IsTrue());
-  EXPECT_FALSE(restored.conditions[2].IsDecided());
-  EXPECT_EQ(restored.knowledge_blob, expected.knowledge_blob);
-  EXPECT_EQ(restored.evaluator_blob, expected.evaluator_blob);
-  ASSERT_EQ(restored.round_logs.size(), 1u);
-  EXPECT_EQ(restored.round_logs[0].cache_hits, 17u);
-
-  // And a v1 state re-serialized today round-trips at today's version.
-  const std::string reserialized = SerializeState(restored);
-  BinReader again(reserialized);
-  SessionState current;
-  ASSERT_TRUE(DeserializeSessionState(&again, &current).ok());
-  EXPECT_EQ(SerializeState(current), reserialized);
-}
-
-TEST(GoldenV2FixtureTest, CommittedFixtureMatchesHeadBytes) {
-  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v2.ckpt";
+TEST(GoldenV5FixtureTest, CommittedFixtureMatchesHeadBytes) {
+  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v5.ckpt";
   const SessionState expected = MakeGoldenState();
   if (std::getenv("BC_REGEN_GOLDEN") != nullptr) {
     WriteFileBytes(path, WrapCheckpoint(SerializeState(expected)));
   }
   const std::string bytes = ReadFileBytes(path);
   ASSERT_FALSE(bytes.empty()) << "missing fixture " << path;
+  // The envelope is stamped with the version it was written under.
+  ASSERT_GE(bytes.size(), 8u);
+  EXPECT_EQ(static_cast<unsigned char>(bytes[4]), kCheckpointVersion);
 
-  std::uint32_t version = 0;
-  const auto payload = UnwrapCheckpoint(bytes, &version);
+  const auto payload = UnwrapCheckpoint(bytes);
   ASSERT_TRUE(payload.ok()) << payload.status().ToString();
-  // The committed fixture is a frozen v2 envelope (BC_REGEN_GOLDEN
-  // would stamp today's version; the pin below catches that so the
-  // fixture is never silently upgraded).
-  EXPECT_EQ(version, 2u);
   BinReader reader(payload.value());
   SessionState restored;
-  ASSERT_TRUE(
-      DeserializeSessionState(&reader, &restored, version).ok());
+  ASSERT_TRUE(DeserializeSessionState(&reader, &restored).ok());
 
   // The fixture must match today's serialization of the same state
-  // byte-for-byte — any drift means v2 files no longer parse as v2.
+  // byte-for-byte — any drift means v5 files no longer parse as v5.
   EXPECT_EQ(payload.value(), SerializeState(expected));
   ASSERT_EQ(restored.solver_breakers.size(), 2u);
   EXPECT_EQ(restored.solver_breakers[0].object, 2u);
@@ -605,27 +579,18 @@ TEST(GoldenV2FixtureTest, CommittedFixtureMatchesHeadBytes) {
             ProbQuality::kPartialBound);
   EXPECT_EQ(restored.solver_breakers[1].object, 5u);
   EXPECT_FALSE(restored.solver_breakers[1].open);
-  // v2 evaluator blobs are graded-interval (format 2) blobs.
-  EXPECT_EQ(restored.evaluator_blob_format, 2u);
-}
 
-TEST(CheckpointEnvelopeTest, AcceptsOlderVersionRejectsZero) {
-  // Re-stamp a fresh envelope as v1: the CRC covers only the payload,
-  // so the version byte may be edited in place.
-  std::string wrapped = WrapCheckpoint("payload");
-  wrapped[4] = 1;
-  std::uint32_t version = 0;
-  ASSERT_TRUE(UnwrapCheckpoint(wrapped, &version).ok());
-  EXPECT_EQ(version, 1u);
-  wrapped[4] = 0;
-  const auto zero = UnwrapCheckpoint(wrapped);
-  ASSERT_FALSE(zero.ok());
-  EXPECT_TRUE(zero.status().IsInvalidArgument()) << zero.status().ToString();
+  // Its memo blob restores: the cached condition serves a hit.
+  ProbabilityEvaluator evaluator;
+  ASSERT_TRUE(evaluator.SetDistribution(V(2, 1), GoldenMemoDist()).ok());
+  BinReader memo(restored.evaluator_blob);
+  ASSERT_TRUE(evaluator.RestoreMemoState(&memo).ok());
+  EXPECT_TRUE(evaluator.IsCached(GoldenMemoCondition()));
 }
 
 // ------------------------------------------------------------------- //
-// The v4/v3 boundary. v4 is the v2 layout under a new number; v3
-// envelopes (memo blobs with compiled-circuit artifacts) are refused.
+// Versions. v5 is the only one read; v1–v4 envelopes (older memo blob
+// layouts) are refused in one line, and recovery falls back past them.
 // ------------------------------------------------------------------- //
 
 /// Stamps `version` into an envelope in place (the CRC covers only the
@@ -634,7 +599,7 @@ void StampVersion(std::string* envelope, std::uint32_t version) {
   (*envelope)[4] = static_cast<char>(version);
 }
 
-TEST(CheckpointVersionTest, V4RoundTripResumesBitIdentically) {
+TEST(CheckpointVersionTest, V5RoundTripResumesBitIdentically) {
   const Table truth = MakeNbaLike(120, 5);
   Rng rng(17);
   const Table incomplete = InjectMissingUniform(truth, 0.15, rng);
@@ -655,7 +620,7 @@ TEST(CheckpointVersionTest, V4RoundTripResumesBitIdentically) {
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
   CheckpointStore::Options store_options;
-  store_options.dir = FreshDir("bc_ckpt_v4_resume");
+  store_options.dir = FreshDir("bc_ckpt_v5_resume");
   store_options.keep = 100;
   CheckpointStore store(store_options);
   BayesCrowdOptions checkpointed = options;
@@ -671,16 +636,13 @@ TEST(CheckpointVersionTest, V4RoundTripResumesBitIdentically) {
   // Resume from the oldest (mid-run) generation, read back from disk.
   const std::string bytes =
       ReadFileBytes(store_options.dir + "/" + generations.front());
-  std::uint32_t version = 0;
-  const auto payload = UnwrapCheckpoint(bytes, &version);
+  ASSERT_GE(bytes.size(), 8u);
+  EXPECT_EQ(static_cast<unsigned char>(bytes[4]), 5u);
+  const auto payload = UnwrapCheckpoint(bytes);
   ASSERT_TRUE(payload.ok()) << payload.status().ToString();
-  EXPECT_EQ(version, 4u);
-  EXPECT_EQ(version, kCheckpointVersion);
   SessionState state;
   BinReader reader(payload.value());
-  ASSERT_TRUE(DeserializeSessionState(&reader, &state, version).ok());
-  EXPECT_EQ(state.evaluator_blob_format, 2u);
-  EXPECT_EQ(state.evaluator_blob_format, kMemoStateFormat);
+  ASSERT_TRUE(DeserializeSessionState(&reader, &state).ok());
   ASSERT_LT(state.rounds, reference->rounds);
 
   BayesCrowdOptions resumed_options = options;
@@ -702,45 +664,70 @@ TEST(CheckpointVersionTest, V4RoundTripResumesBitIdentically) {
   EXPECT_EQ(resumed->cache_misses, reference->cache_misses);
 }
 
-TEST(CheckpointVersionTest, V3EnvelopeIsRefusedWithOneLineVersionError) {
-  std::string envelope = WrapCheckpoint(SerializeState(MakeGoldenState()));
-  StampVersion(&envelope, 3);
-  const auto unwrapped = UnwrapCheckpoint(envelope);
-  ASSERT_FALSE(unwrapped.ok());
-  EXPECT_TRUE(unwrapped.status().IsInvalidArgument())
-      << unwrapped.status().ToString();
-  const std::string message = unwrapped.status().message();
-  EXPECT_NE(message.find("version 3"), std::string::npos) << message;
-  EXPECT_EQ(message.find('\n'), std::string::npos) << message;
-
-  // The payload-level reader refuses the version as well.
-  const std::string payload = SerializeState(MakeGoldenState());
-  BinReader reader(payload);
-  SessionState state;
-  EXPECT_TRUE(
-      DeserializeSessionState(&reader, &state, 3).IsInvalidArgument());
+TEST(CheckpointVersionTest, OlderEnvelopesAreRefusedWithOneLineVersionError) {
+  for (std::uint32_t version = 0; version < kCheckpointVersion; ++version) {
+    std::string envelope = WrapCheckpoint(SerializeState(MakeGoldenState()));
+    StampVersion(&envelope, version);
+    const auto unwrapped = UnwrapCheckpoint(envelope);
+    ASSERT_FALSE(unwrapped.ok()) << "version " << version;
+    EXPECT_TRUE(unwrapped.status().IsInvalidArgument())
+        << unwrapped.status().ToString();
+    const std::string message = unwrapped.status().message();
+    EXPECT_NE(message.find(StrFormat("version %u", version)),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("not supported by this build"), std::string::npos)
+        << message;
+    EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+  }
 }
 
-TEST(CheckpointVersionTest, NewestV3GenerationFallsBackToOlderValidOne) {
-  CheckpointStore::Options options;
-  options.dir = FreshDir("bc_ckpt_v3_fallback");
-  CheckpointStore store(options);
-  SessionState state = MakeGoldenState();
-  state.answer_log_offset = 0;
-  for (std::size_t round = 1; round <= 2; ++round) {
-    state.rounds = round;
-    ASSERT_TRUE(store.Write(state).ok());
-  }
-  const std::string newest = options.dir + "/ckpt-00000002.bin";
-  std::string bytes = ReadFileBytes(newest);
-  StampVersion(&bytes, 3);
-  WriteFileBytes(newest, bytes);
+TEST(CheckpointVersionTest, V4MemoBlobIsRefusedAndLeavesEvaluatorUntouched) {
+  // A v4 payload's memo blob (format 2) led with four evaluator RNG
+  // words. The format-3 reader refuses it — restore and merge alike —
+  // instead of misparsing, and a refused blob changes nothing.
+  ProbabilityEvaluator donor;
+  ASSERT_TRUE(donor.SetDistribution(V(2, 1), GoldenMemoDist()).ok());
+  ASSERT_TRUE(donor.Probability(GoldenMemoCondition()).ok());
+  std::string v4_blob;
+  BinWriter w(&v4_blob);
+  for (const std::uint64_t word : Rng(1234).SaveState()) w.WriteU64(word);
+  donor.SerializeMemoState(&v4_blob);
 
-  std::size_t fallbacks = 0;
-  const auto loaded = store.LoadLatest(100, &fallbacks);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->rounds, 1u);
-  EXPECT_EQ(fallbacks, 1u);
+  ProbabilityEvaluator evaluator;
+  ASSERT_TRUE(evaluator.SetDistribution(V(2, 1), GoldenMemoDist()).ok());
+  ASSERT_TRUE(evaluator.Probability(GoldenMemoCondition()).ok());
+  ASSERT_EQ(evaluator.CacheSize(), 1u);
+  BinReader restore_reader(v4_blob);
+  EXPECT_FALSE(evaluator.RestoreMemoState(&restore_reader).ok());
+  BinReader merge_reader(v4_blob);
+  EXPECT_FALSE(evaluator.MergeMemoState(&merge_reader).ok());
+  EXPECT_EQ(evaluator.CacheSize(), 1u);
+  EXPECT_TRUE(evaluator.IsCached(GoldenMemoCondition()));
+}
+
+TEST(CheckpointVersionTest, NewestOlderVersionGenerationFallsBack) {
+  for (std::uint32_t version = 1; version < kCheckpointVersion; ++version) {
+    CheckpointStore::Options options;
+    options.dir = FreshDir("bc_ckpt_old_fallback");
+    CheckpointStore store(options);
+    SessionState state = MakeGoldenState();
+    state.answer_log_offset = 0;
+    for (std::size_t round = 1; round <= 2; ++round) {
+      state.rounds = round;
+      ASSERT_TRUE(store.Write(state).ok());
+    }
+    const std::string newest = options.dir + "/ckpt-00000002.bin";
+    std::string bytes = ReadFileBytes(newest);
+    StampVersion(&bytes, version);
+    WriteFileBytes(newest, bytes);
+
+    std::size_t fallbacks = 0;
+    const auto loaded = store.LoadLatest(100, &fallbacks);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->rounds, 1u) << "version " << version;
+    EXPECT_EQ(fallbacks, 1u) << "version " << version;
+  }
 }
 
 // ------------------------------------------------------------------- //

@@ -57,10 +57,16 @@ TEST(LadderModeTest, UnknownNameRejectedAndModeUntouched) {
 // GovernorOptions::Fingerprint
 // ------------------------------------------------------------------ //
 
-TEST(GovernorFingerprintTest, InertIsExactlyZero) {
+TEST(GovernorFingerprintTest, InertLadderStillChangesIt) {
+  // An inert governor walks its ladder when max_calls runs out, so the
+  // ladder is part of its tag even without budgets.
   GovernorOptions inert;
   EXPECT_FALSE(inert.enabled());
-  EXPECT_EQ(inert.Fingerprint(), 0u);
+  EXPECT_EQ(inert.Fingerprint(), GovernorOptions{}.Fingerprint());
+  GovernorOptions strict = inert;
+  strict.ladder = LadderMode::kStrict;
+  EXPECT_FALSE(strict.enabled());
+  EXPECT_NE(inert.Fingerprint(), strict.Fingerprint());
 }
 
 TEST(GovernorFingerprintTest, BudgetsAndLadderChangeIt) {

@@ -294,12 +294,6 @@ TEST_P(RandomConditionTest, SamplingConvergesToExact) {
   const auto approx = SampledProbability(condition, dists, options, rng);
   ASSERT_TRUE(approx.ok());
   EXPECT_NEAR(approx.value(), exact.value(), 0.02);
-
-  Rng rng2(GetParam().seed ^ 0x123456);
-  const auto rb =
-      SampledProbabilityRaoBlackwell(condition, dists, options, rng2);
-  ASSERT_TRUE(rb.ok());
-  EXPECT_NEAR(rb.value(), exact.value(), 0.02);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -360,8 +354,7 @@ TEST(EvaluatorTest, DispatchesAllMethods) {
   const Condition phi = PhiO5();
   for (const ProbabilityMethod method :
        {ProbabilityMethod::kAdpll, ProbabilityMethod::kNaive,
-        ProbabilityMethod::kSampled,
-        ProbabilityMethod::kSampledRaoBlackwell}) {
+        ProbabilityMethod::kSampled}) {
     ProbabilityOptions options;
     options.method = method;
     options.sampling.num_samples = 50'000;

@@ -56,6 +56,7 @@
 #include "data/missing.h"
 #include "skyline/algorithms.h"
 #include "skyline/metrics.h"
+#include "flags.h"
 
 namespace bayescrowd {
 namespace {
@@ -68,15 +69,7 @@ namespace {
 constexpr int kDefaultDataSeed = 42;
 
 // Every flag a subcommand accepts, with the type its value must parse
-// as. ParseFlags rejects anything else before a command runs, so a
-// typo'd flag or a malformed number can never fall back to a default.
-enum class FlagKind : std::uint8_t { kString, kInt, kDouble, kBool };
-
-struct FlagSpec {
-  const char* name;
-  FlagKind kind;
-};
-
+// as (see flags.h). The global --log-level is added in Main.
 const std::vector<FlagSpec>* CommandFlags(const std::string& command) {
   using K = FlagKind;
   static const std::map<std::string, std::vector<FlagSpec>> kTable = {
@@ -146,100 +139,6 @@ const std::vector<FlagSpec>* CommandFlags(const std::string& command) {
   return it == kTable.end() ? nullptr : &it->second;
 }
 
-/// Parsed flags. Values were type-checked by ParseFlags, so the getters
-/// only fall back when a flag is absent.
-struct Flags {
-  std::map<std::string, std::string> values;
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    const auto it = values.find(key);
-    return it == values.end() ? fallback : it->second;
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values.find(key);
-    if (it == values.end()) return fallback;
-    double v = fallback;
-    ParseDouble(it->second, &v);
-    return v;
-  }
-  int GetInt(const std::string& key, int fallback) const {
-    const auto it = values.find(key);
-    if (it == values.end()) return fallback;
-    int v = fallback;
-    ParseInt(it->second, &v);
-    return v;
-  }
-  bool Has(const std::string& key) const { return values.count(key) > 0; }
-};
-
-/// Parses argv[first..] against `specs` (plus the global --log-level).
-/// On any unknown flag, missing value, or value that does not parse
-/// completely as its declared type, prints one diagnostic line and
-/// returns false.
-bool ParseFlags(const std::string& command,
-                const std::vector<FlagSpec>& specs, int first, int argc,
-                char** argv, Flags* flags) {
-  for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (!StartsWith(arg, "--")) {
-      std::fprintf(stderr, "%s: unexpected argument '%s'\n", command.c_str(),
-                   arg.c_str());
-      return false;
-    }
-    arg = arg.substr(2);
-    std::string value;
-    const std::size_t eq = arg.find('=');
-    const bool inline_value = eq != std::string::npos;
-    if (inline_value) {
-      value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
-    }
-    FlagKind kind = FlagKind::kString;
-    if (arg != "log-level") {
-      const auto spec =
-          std::find_if(specs.begin(), specs.end(),
-                       [&arg](const FlagSpec& f) { return arg == f.name; });
-      if (spec == specs.end()) {
-        std::fprintf(stderr, "%s: unknown flag '--%s'\n", command.c_str(),
-                     arg.c_str());
-        return false;
-      }
-      kind = spec->kind;
-    }
-    if (kind == FlagKind::kBool) {
-      if (inline_value) {
-        std::fprintf(stderr, "%s: --%s takes no value\n", command.c_str(),
-                     arg.c_str());
-        return false;
-      }
-      flags->values[arg] = "";
-      continue;
-    }
-    if (!inline_value) {
-      if (i + 1 >= argc || StartsWith(argv[i + 1], "--")) {
-        std::fprintf(stderr, "%s: --%s needs a value\n", command.c_str(),
-                     arg.c_str());
-        return false;
-      }
-      value = argv[++i];
-    }
-    int int_value = 0;
-    double double_value = 0.0;
-    if (kind == FlagKind::kInt && !ParseInt(value, &int_value)) {
-      std::fprintf(stderr, "%s: --%s expects an integer, got '%s'\n",
-                   command.c_str(), arg.c_str(), value.c_str());
-      return false;
-    }
-    if (kind == FlagKind::kDouble && !ParseDouble(value, &double_value)) {
-      std::fprintf(stderr, "%s: --%s expects a number, got '%s'\n",
-                   command.c_str(), arg.c_str(), value.c_str());
-      return false;
-    }
-    flags->values[arg] = value;
-  }
-  return true;
-}
-
 int Usage() {
   std::fprintf(
       stderr,
@@ -301,8 +200,8 @@ int Usage() {
       "  per-evaluation ADPLL budgets; on exhaustion the solver walks the\n"
       "  --solver-ladder (full: partial bound, then sampling; interval:\n"
       "  stop at the sound bound; sample: jump straight to sampling;\n"
-      "  strict: fail the run). --solver-deadline-ms adds a wall-clock\n"
-      "  cap that only degrades, never changes exact answers.\n"
+      "  strict: degrade straight to [0, 1]). --solver-deadline-ms adds\n"
+      "  a wall-clock cap that only degrades, never changes exact answers.\n"
       "  --breaker-threshold: open a per-object circuit breaker after\n"
       "  this many consecutive degraded solves (0 disables);\n"
       "  --pessimistic ranks on the most-uncertain point of each\n"
@@ -401,11 +300,24 @@ int CmdSkyline(const Flags& flags) {
   return 0;
 }
 
+/// Warns (one line) when α prunes at threshold floor(α·n) = 0: every
+/// object with a possible dominator is then deemed a non-answer, which
+/// on a small table can empty the answer without any other sign.
+void WarnIfAlphaPrunesAll(double alpha, std::size_t n) {
+  if (alpha < 0.0 || static_cast<std::size_t>(alpha * n) > 0) return;
+  std::fprintf(stderr,
+               "warning: --alpha %g with n=%zu objects gives pruning "
+               "threshold floor(alpha*n)=0, so every object with a possible "
+               "dominator is pruned; pass --alpha -1 to disable pruning\n",
+               alpha, n);
+}
+
 int CmdCTable(const Flags& flags) {
   auto loaded = LoadTableCsv(flags.Get("data", ""));
   if (!loaded.ok()) return Fail(loaded.status());
   CTableOptions options;
   options.alpha = flags.GetDouble("alpha", 0.01);
+  WarnIfAlphaPrunesAll(options.alpha, loaded->num_objects());
   auto ctable = BuildCTable(*loaded, options);
   if (!ctable.ok()) return Fail(ctable.status());
   std::printf("c-table: %zu true, %zu false, %zu undecided\n",
@@ -921,6 +833,8 @@ int CmdRun(const Flags& flags) {
   }
   if (!round_fanout.empty()) options.round_sink = &round_fanout;
 
+  // After every flag check, so a rejection stays a one-line diagnostic.
+  WarnIfAlphaPrunesAll(options.ctable.alpha, incomplete.num_objects());
   BayesCrowd framework(options);
   auto result = framework.Run(incomplete, *posteriors, *effective);
 
@@ -1096,10 +1010,12 @@ int CmdInspect(const Flags& flags) {
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  const std::vector<FlagSpec>* specs = CommandFlags(command);
-  if (specs == nullptr) return Usage();
+  const std::vector<FlagSpec>* command_specs = CommandFlags(command);
+  if (command_specs == nullptr) return Usage();
+  std::vector<FlagSpec> specs = *command_specs;
+  specs.push_back({"log-level", FlagKind::kString});
   Flags flags;
-  if (!ParseFlags(command, *specs, 2, argc, argv, &flags)) return 2;
+  if (!ParseFlags(command, specs, 2, argc, argv, &flags)) return 2;
   if (flags.Has("log-level")) {
     LogLevel level = LogLevel::kWarning;
     if (!ParseLogLevel(flags.Get("log-level", ""), &level)) {

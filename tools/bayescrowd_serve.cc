@@ -16,7 +16,8 @@
 //   {"op":"finish","id":"s1"}  {"op":"evict","id":"s1"}
 //   {"op":"shutdown"}
 //
-// Flags:
+// Flags (parsed strictly: an unknown flag, or a malformed or
+// out-of-range value, prints one line and exits 2):
 //   --threads N          lanes of the shared worker pool (0 = auto)
 //   --max-resident N     global residency cap (default 8)
 //   --max-per-tenant N   per-tenant residency cap (default 4)
@@ -66,6 +67,7 @@
 #include "obs/json.h"
 #include "serve/manager.h"
 #include "serve/manifest.h"
+#include "flags.h"
 
 namespace bayescrowd {
 namespace {
@@ -476,65 +478,73 @@ JsonValue RecoveryJson(const RecoveryReport& report) {
   return out;
 }
 
-int ServeMain(int argc, char** argv) {
-  SessionManager::Options options;
-  std::string metrics_prom;
-  std::string flight_out;
-  std::string chaos_spec;
-  bool recover = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      return i + 1 < argc ? argv[++i] : std::string();
-    };
-    if (arg == "--threads") {
-      int v = 0;
-      if (ParseInt(next(), &v) && v >= 0) {
-        options.threads = static_cast<std::size_t>(v);
-      }
-    } else if (arg == "--max-resident") {
-      int v = 0;
-      if (ParseInt(next(), &v) && v > 0) {
-        options.max_resident_sessions = static_cast<std::size_t>(v);
-      }
-    } else if (arg == "--max-per-tenant") {
-      int v = 0;
-      if (ParseInt(next(), &v) && v > 0) {
-        options.max_sessions_per_tenant = static_cast<std::size_t>(v);
-      }
-    } else if (arg == "--qos") {
-      if (!ParseQosSpec(next(), &options.qos)) {
-        std::fprintf(stderr, "bad --qos spec\n");
-        return 2;
-      }
-    } else if (arg == "--metrics-prom") {
-      metrics_prom = next();
-    } else if (arg == "--flight-out") {
-      flight_out = next();
-    } else if (arg == "--state-dir") {
-      options.state_dir = next();
-    } else if (arg == "--recover") {
-      recover = true;
-    } else if (arg == "--max-queue") {
-      int v = 0;
-      if (ParseInt(next(), &v) && v >= 0) {
-        options.max_queued_requests = static_cast<std::size_t>(v);
-      }
-    } else if (arg == "--retry-after-ms") {
-      int v = 0;
-      if (ParseInt(next(), &v) && v >= 0) {
-        options.retry_after_ms = v;
-      }
-    } else if (arg == "--chaos") {
-      chaos_spec = next();
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-      return 2;
-    }
+// Every flag the server accepts, parsed strictly (see flags.h).
+const std::vector<FlagSpec>& ServeFlags() {
+  using K = FlagKind;
+  static const std::vector<FlagSpec> kFlags = {
+      {"threads", K::kInt},        {"max-resident", K::kInt},
+      {"max-per-tenant", K::kInt}, {"qos", K::kString},
+      {"metrics-prom", K::kString}, {"flight-out", K::kString},
+      {"state-dir", K::kString},   {"recover", K::kBool},
+      {"max-queue", K::kInt},      {"retry-after-ms", K::kInt},
+      {"chaos", K::kString}};
+  return kFlags;
+}
+
+/// Reads integer flag `name` into `out` when present; a value below
+/// `min` prints one line and returns false.
+template <typename T>
+bool ReadBoundedFlag(const Flags& flags, const char* name, int min, T* out) {
+  if (!flags.Has(name)) return true;
+  const int value = flags.GetInt(name, min);
+  if (value < min) {
+    std::fprintf(stderr, "bayescrowd_serve: --%s must be >= %d, got %d\n",
+                 name, min, value);
+    return false;
   }
+  *out = static_cast<T>(value);
+  return true;
+}
+
+int ServeMain(int argc, char** argv) {
+  Flags flags;
+  if (!ParseFlags("bayescrowd_serve", ServeFlags(), 1, argc, argv, &flags)) {
+    return 2;
+  }
+  SessionManager::Options options;
+  if (!ReadBoundedFlag(flags, "threads", 0, &options.threads) ||
+      !ReadBoundedFlag(flags, "max-resident", 1,
+                       &options.max_resident_sessions) ||
+      !ReadBoundedFlag(flags, "max-per-tenant", 1,
+                       &options.max_sessions_per_tenant) ||
+      !ReadBoundedFlag(flags, "max-queue", 0,
+                       &options.max_queued_requests) ||
+      !ReadBoundedFlag(flags, "retry-after-ms", 0,
+                       &options.retry_after_ms)) {
+    return 2;
+  }
+  if (flags.Has("qos") && !ParseQosSpec(flags.Get("qos", ""), &options.qos)) {
+    std::fprintf(stderr, "bad --qos spec\n");
+    return 2;
+  }
+  options.state_dir = flags.Get("state-dir", "");
+  const std::string flight_out = flags.Get("flight-out", "");
+  const std::string chaos_spec = flags.Get("chaos", "");
+  const bool recover = flags.Has("recover");
   if (recover && options.state_dir.empty()) {
     std::fprintf(stderr, "--recover requires --state-dir\n");
     return 2;
+  }
+  std::unique_ptr<obs::PrometheusFileExporter> prom_exporter;
+  if (flags.Has("metrics-prom")) {
+    auto opened =
+        obs::PrometheusFileExporter::Open(flags.Get("metrics-prom", ""));
+    if (!opened.ok()) {
+      std::fprintf(stderr, "--metrics-prom: %s\n",
+                   opened.status().message().c_str());
+      return 2;
+    }
+    prom_exporter = std::move(opened).value();
   }
 
   FaultPlan chaos_plan;
@@ -578,6 +588,7 @@ int ServeMain(int argc, char** argv) {
 
   std::string line;
   bool shutdown = false;
+  std::uint64_t requests = 0;
   while (!shutdown && std::getline(std::cin, line)) {
     if (line.empty()) continue;
     JsonValue response;
@@ -593,13 +604,13 @@ int ServeMain(int argc, char** argv) {
       shutdown = op != nullptr && op->AsString() == "shutdown";
     }
     std::cout << response.Dump() << "\n" << std::flush;
-    if (!metrics_prom.empty()) {
-      const std::string text =
-          obs::ToPrometheusText(manager.MetricsSnapshot());
-      std::FILE* file = std::fopen(metrics_prom.c_str(), "w");
-      if (file != nullptr) {
-        std::fwrite(text.data(), 1, text.size(), file);
-        std::fclose(file);
+    if (prom_exporter != nullptr) {
+      ++requests;
+      const Status written =
+          prom_exporter->OnRound(requests, manager.MetricsSnapshot());
+      if (!written.ok()) {
+        std::fprintf(stderr, "metrics-prom: %s\n",
+                     written.ToString().c_str());
       }
     }
   }

@@ -6,14 +6,15 @@
 # 7), and the seed flag actually steers the output. Also checks the
 # fault-flag validation the run command grew with the retry layer, the
 # solver-governor flag validation, strict flag parsing (unknown flags
-# and malformed numbers exit 2 with one line before any work), and the
-# marketplace flag validation (--marketplace / --spam-rate /
-# --adaptive-votes / --no-defense).
+# and malformed numbers exit 2 with one line before any work), the
+# degenerate-alpha warning, and the marketplace flag validation
+# (--marketplace / --spam-rate / --adaptive-votes / --no-defense).
 #
 # Also pins the bayescrowd_serve JSONL protocol against committed golden
 # fixtures (tests/testdata/serve_golden_*.jsonl) and its bad-input
 # behavior: a malformed request line gets a one-line diagnostic and the
-# connection survives; bad flags exit 2 without starting the loop. The
+# connection survives; bad flags (parsed strictly, like the CLI's) exit
+# 2 with one line without starting the loop. The
 # crash-only serving wire formats ride along: the deadline_ms echo on
 # advance, the overloaded/retry_after_ms shed response, --recover's
 # leading op:recover report line after a kill, and the --recover /
@@ -67,9 +68,11 @@ if "${CLI}" run --data "${WORK}/inj_42.csv" --truth "${WORK}/gen_42.csv" \
   fail "run must reject a negative --max-retries"
 fi
 
+# --alpha -1: at the default alpha this 40-row table prunes every object
+# and no round (hence no fault) would run.
 run_faulted() {
   "${CLI}" run --data "${WORK}/inj_42.csv" --truth "${WORK}/gen_42.csv" \
-    --budget 12 --latency 3 \
+    --alpha -1 --budget 12 --latency 3 \
     --fault-rate 0.3 --fault-seed 11 --max-retries 3 --round-deadline 30 \
     --telemetry-out "$1" >/dev/null
 }
@@ -89,8 +92,8 @@ rec_a="$(extract_recovery "${WORK}/telemetry_a.json")"
 rec_b="$(extract_recovery "${WORK}/telemetry_b.json")"
 [ "${rec_a}" = "${rec_b}" ] \
   || fail "faulted runs with the same --fault-seed diverged: ${rec_a} vs ${rec_b}"
-echo "${rec_a}" | grep -q '"retries"' \
-  || fail "telemetry recovery block is missing retry counters"
+echo "${rec_a}" | grep -q '"retries": [1-9]' \
+  || fail "the faulted run must have retried: ${rec_a}"
 
 # ------------------------------------------------------------------ #
 # run: solver-governor flags validate.
@@ -119,8 +122,8 @@ fi
 if run_base --no-cache --resume --checkpoint-dir "${WORK}/ck" >/dev/null 2>&1; then
   fail "run must reject --no-cache combined with --resume"
 fi
-run_base --solver-node-budget 4 --solver-ladder strict --budget 4 --latency 2 \
-  >/dev/null || fail "a strict-ladder run must run to completion"
+run_base --alpha -1 --solver-node-budget 4 --solver-ladder strict --budget 4 \
+  --latency 2 >/dev/null || fail "a strict-ladder run must run to completion"
 # Each rejection must be a one-line diagnostic (plus nothing else).
 # (The expected nonzero exit would trip set -e/pipefail unguarded.)
 lines="$( (run_base --solver-ladder bogus 2>&1 >/dev/null || true) | wc -l)"
@@ -135,7 +138,7 @@ lines="$( (run_base --solver-ladder bogus 2>&1 >/dev/null || true) | wc -l)"
 expect_rejected() {
   local what="$1"; shift
   local rc=0
-  "$@" >/dev/null 2>"${WORK}/strict.err" || rc=$?
+  "$@" </dev/null >/dev/null 2>"${WORK}/strict.err" || rc=$?
   [ "${rc}" -eq 2 ] || fail "${what} must exit 2, got ${rc}"
   [ "$(wc -l < "${WORK}/strict.err")" -eq 1 ] \
     || fail "${what} must print exactly one line: $(cat "${WORK}/strict.err")"
@@ -158,6 +161,30 @@ expect_rejected "a non-numeric --rate on inject" \
   --out "${WORK}/strict.csv"
 [ ! -e "${WORK}/strict.json" ] && [ ! -e "${WORK}/strict.csv" ] \
   || fail "a rejected command must not have started work"
+
+# ------------------------------------------------------------------ #
+# Degenerate alpha: at the default alpha a 60-row table prunes at
+# threshold floor(alpha*n) = 0. run and ctable still work (exit 0) but
+# say so in one warning line that names alpha, n and the way out.
+# ------------------------------------------------------------------ #
+"${CLI}" generate --dataset nba --n 60 --seed 7 --out "${WORK}/small.csv" >/dev/null
+"${CLI}" inject --in "${WORK}/small.csv" --rate 0.15 --seed 9 \
+  --out "${WORK}/small_miss.csv" >/dev/null
+for cmd in run ctable; do
+  args=(--data "${WORK}/small_miss.csv")
+  [ "${cmd}" = run ] && args+=(--truth "${WORK}/small.csv")
+  rc=0
+  "${CLI}" "${cmd}" "${args[@]}" >/dev/null 2>"${WORK}/alpha.err" || rc=$?
+  [ "${rc}" -eq 0 ] || fail "${cmd} at a degenerate alpha must still exit 0"
+  [ "$(grep -c '^warning: --alpha 0.01 with n=60 .*--alpha -1' \
+      "${WORK}/alpha.err")" -eq 1 ] \
+    || fail "${cmd} must warn once about alpha pruning: $(cat "${WORK}/alpha.err")"
+done
+rc=0
+"${CLI}" run --data "${WORK}/small_miss.csv" --truth "${WORK}/small.csv" \
+  --alpha -1 >/dev/null 2>"${WORK}/alpha.err" || rc=$?
+[ "${rc}" -eq 0 ] && ! grep -q warning "${WORK}/alpha.err" \
+  || fail "run with --alpha -1 must not warn"
 
 # ------------------------------------------------------------------ #
 # run: marketplace flags validate.
@@ -308,6 +335,18 @@ rc=0; "${SERVE}" --no-such-flag </dev/null >/dev/null 2>&1 || rc=$?
 [ "${rc}" -eq 2 ] || fail "serve must exit 2 on an unknown flag, got ${rc}"
 rc=0; "${SERVE}" --qos "heavy=bogus" </dev/null >/dev/null 2>&1 || rc=$?
 [ "${rc}" -eq 2 ] || fail "serve must exit 2 on a bad --qos spec, got ${rc}"
+# serve parses the same declared flag table as the CLI: malformed and
+# out-of-range values are one-line exit-2 rejections, never defaults.
+expect_rejected "serve with a non-numeric --threads" \
+  "${SERVE}" --threads abc --max-resident 0 --max-queue
+grep -q -- "--threads expects an integer, got 'abc'" "${WORK}/strict.err" \
+  || fail "serve must name the malformed flag: $(cat "${WORK}/strict.err")"
+expect_rejected "serve with --max-resident 0" "${SERVE}" --max-resident 0
+expect_rejected "serve with a negative --max-queue" "${SERVE}" --max-queue -1
+expect_rejected "serve with --max-queue missing its value" \
+  "${SERVE}" --max-queue
+expect_rejected "serve with an unwritable --metrics-prom" \
+  "${SERVE}" --metrics-prom /nonexistent-dir/out
 
 # serve: --recover without a journal to recover from is a usage error.
 rc=0; "${SERVE}" --recover </dev/null >/dev/null 2>&1 || rc=$?
